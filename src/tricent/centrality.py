@@ -8,12 +8,13 @@ the final division, computed as (core + 3*non_core) / (3*total).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .errors import InputError
 from .graph import build_abbreviated_adjacency, degree_order
-from .triangle import hash_neighbor_pair_tri_neighbors, triangle_neighbor
+from .triangle import hash_neighbor_pair_tri_neighbors, marked_pairs, triangle_neighbor
 
 
 @dataclass
@@ -39,11 +40,11 @@ def _scores_from_sums(core, non_core, total):
 
 
 def _neighbor_sums(g, per_vertex):
-    if g.m == 0:
-        return np.zeros(g.n, dtype=np.int64)
-    sums = np.add.reduceat(per_vertex[g.neighbors], g.offsets[:-1])
-    sums[g.degrees == 0] = 0  # reduceat yields garbage on empty segments
-    return sums.astype(np.int64)
+    # a row's sum is the difference of the running sums at its two offsets,
+    # which is 0 for a vertex without neighbors
+    csum = np.zeros(g.neighbors.shape[0] + 1, dtype=np.int64)
+    np.cumsum(per_vertex[g.neighbors], out=csum[1:])
+    return csum[g.offsets[1:]] - csum[g.offsets[:-1]]
 
 
 def tc_from_triangles(g, stats, neighborhood=None, adj=None, marks=None, method="main"):
@@ -57,25 +58,17 @@ def tc_from_triangles(g, stats, neighborhood=None, adj=None, marks=None, method=
     if stats.total == 0:
         return CentralityVector(scores=np.zeros(g.n), method=method, tri_total=0,
                                 triangle_free=True)
-    core = np.zeros(g.n, dtype=np.int64)
+    # (src, dst): one row per ordered triangle-neighbor pair
     if neighborhood is not None:
-        for v in range(g.n):
-            core[v] = tri[v] + sum(int(tri[u]) for u in neighborhood[v])
+        lists = neighborhood.lists
+        src = np.repeat(np.arange(g.n, dtype=np.int64), [len(row) for row in lists])
+        dst = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=src.shape[0])
     elif adj is not None and marks is not None:
-        bits = marks.bits
-        poff = adj.prefix_offsets
-        off = adj.offsets
-        for v in range(g.n):
-            base = off[v]
-            mbase = poff[v]
-            for i in range(adj.prefix_len[v]):
-                if bits[mbase + i]:
-                    u = int(adj.nbr[base + i])
-                    core[v] += tri[u]
-                    core[u] += tri[v]
-        core += tri
+        src, dst = marked_pairs(adj, marks)
     else:
         raise InputError("need either a neighborhood or (adj, marks)")
+    core = tri.copy()
+    np.add.at(core, src, tri[dst])
     s = _neighbor_sums(g, tri)
     non_core = s - core + tri  # = s - (core - tri); core already includes tri[v]
     scores = _scores_from_sums(core, non_core, stats.total)

@@ -7,7 +7,6 @@ Exit codes: 0 ok, 1 usage, 2 I/O, 3 internal consistency.
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -101,10 +100,7 @@ def _run_algo(g, algo, threads):
 
 def _cmd_compute(args):
     g = load_edge_list(args.path)
-    threads = args.threads
-    if threads is None and os.environ.get("TC_THREADS"):
-        threads = int(os.environ["TC_THREADS"])
-    cv, extra = _run_algo(g, args.algo, threads)
+    cv, extra = _run_algo(g, args.algo, args.threads)
     _emit_scores(g, cv, args.format, sys.stdout)
     if args.stats:
         if args.algo == "parallel" and extra is not None:

@@ -1,37 +1,45 @@
-"""Deterministic shared-memory parallel triangle centrality.
+"""Deterministic partitioned triangle centrality.
 
-Phase structure: (1) triangle detection over ordered prefix pairs partitioned
-into contiguous chunks, each worker filling private count/mark buffers merged
-afterwards in fixed task order; (2) core-sum accumulation over marked prefix
-entries, again with private buffers; (3) neighbor sums and score finalize.
-All accumulation is integer, so results are bitwise identical to the
-sequential path for any worker count. Work counters stand in for abstract
+The paper's CREW-PRAM algorithm partitions the sequential work: the packed
+prefix entries (one per prefix edge) are cut into contiguous ranges, the
+shared merge kernel of :mod:`tricent.triangle` runs over each range in order
+into one set of count and mark buffers, and the score fold of
+:mod:`tricent.centrality` finishes the job. Phases: setup (order, prefixes),
+detect, fold. The ranges run in order in the calling thread: the kernel is
+pure Python and holds the interpreter lock, so threads would not overlap its
+work. All accumulation is integer, so results are bitwise identical to the
+sequential path for any partition. Work counters stand in for abstract
 processor-count claims.
 """
 
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centrality import CentralityVector, _neighbor_sums, _scores_from_sums
+from .centrality import tc_from_triangles
 from .errors import InputError
 from .graph import build_abbreviated_adjacency, degree_order
+from .triangle import TriangleMarks, TriangleStats, _merge_range, _prefix_lists
 
 
 @dataclass
 class ParallelConfig:
-    workers: int | None = None  # None: hardware count, TC_THREADS overrides
-    chunk: int | None = None    # prefix-pair entries per task
+    # workers sets the partition: workers * 4 ranges unless chunk is given;
+    # None means the TC_THREADS environment variable, else the CPU count
+    workers: int | None = None
+    chunk: int | None = None    # prefix entries per range
 
     def resolved_workers(self):
         w = self.workers
         if w is None:
             env = os.environ.get("TC_THREADS")
-            w = int(env) if env else (os.cpu_count() or 1)
+            try:
+                w = int(env) if env else (os.cpu_count() or 1)
+            except ValueError:
+                raise InputError(f"TC_THREADS must be an integer, got {env!r}") from None
         if w < 1:
             raise InputError("worker count must be >= 1")
         return w
@@ -45,85 +53,6 @@ class WorkCounters:
     phase_seconds: dict = field(default_factory=dict)
 
 
-def _chunk_ranges(total, pieces):
-    if total == 0:
-        return []
-    pieces = max(1, min(pieces, total))
-    step = math.ceil(total / pieces)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _detect_chunk(adj, prefixes, lo, hi):
-    """Process packed prefix entries [lo, hi): merge-intersect each (v, u)."""
-    n = adj.n
-    tri = np.zeros(n, dtype=np.int64)
-    bits = np.zeros(int(adj.prefix_offsets[-1]), dtype=bool)
-    edge_counts = np.zeros(adj.nbr.shape[0], dtype=np.int64)
-    poff = adj.prefix_offsets
-    off = adj.offsets
-    total = 0
-    comparisons = 0
-    v = int(np.searchsorted(poff, lo, side="right")) - 1
-    e = lo
-    while e < hi:
-        row_end = int(poff[v + 1])
-        pv = prefixes[v]
-        pl = len(pv)
-        base_v = off[v]
-        mark_v = poff[v]
-        for e in range(e, min(hi, row_end)):
-            i = e - mark_v
-            u = pv[i]
-            pu = prefixes[u]
-            ul = len(pu)
-            base_u = off[u]
-            mark_u = poff[u]
-            found = False
-            x = y = 0
-            while x < pl and y < ul:
-                comparisons += 1
-                wv = pv[x]
-                wu = pu[y]
-                if wv == wu:
-                    found = True
-                    bits[mark_v + x] = True
-                    bits[mark_u + y] = True
-                    tri[v] += 1
-                    tri[u] += 1
-                    tri[wv] += 1
-                    total += 1
-                    edge_counts[base_v + i] += 1
-                    edge_counts[base_v + x] += 1
-                    edge_counts[base_u + y] += 1
-                    x += 1
-                    y += 1
-                elif wv < wu:
-                    x += 1
-                else:
-                    y += 1
-            if found:
-                bits[mark_v + i] = True
-        e = min(hi, row_end)
-        v += 1
-    return tri, bits, edge_counts, total, comparisons
-
-
-def _core_chunk(adj, tri, bits, lo, hi):
-    """Accumulate symmetric core contributions for vertices [lo, hi)."""
-    core = np.zeros(adj.n, dtype=np.int64)
-    off = adj.offsets
-    poff = adj.prefix_offsets
-    for v in range(lo, hi):
-        base = off[v]
-        mbase = poff[v]
-        for i in range(adj.prefix_len[v]):
-            if bits[mbase + i]:
-                u = int(adj.nbr[base + i])
-                core[v] += tri[u]
-                core[u] += tri[v]
-    return core
-
-
 def parallel_triangle_centrality(g, cfg=None):
     """Scores plus work counters; bitwise equal to the sequential pipeline."""
     cfg = cfg or ParallelConfig()
@@ -131,58 +60,31 @@ def parallel_triangle_centrality(g, cfg=None):
     counters = WorkCounters()
 
     t0 = time.perf_counter()
-    order = degree_order(g)
-    adj = build_abbreviated_adjacency(g, order)
-    prefixes = [adj.nbr[adj.offsets[v]:adj.offsets[v] + adj.prefix_len[v]].tolist()
-                for v in range(g.n)]
+    adj = build_abbreviated_adjacency(g, degree_order(g))
+    prefixes = _prefix_lists(adj)
+    off, poff = adj.offsets.tolist(), adj.prefix_offsets.tolist()
     counters.pair_tests = int(sum(p * (p - 1) // 2 for p in adj.prefix_len.tolist()))
     counters.phase_seconds["setup"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     total_entries = int(adj.prefix_offsets[-1])
     chunk = cfg.chunk or math.ceil(max(1, total_entries) / (workers * 4))
-    ranges = _chunk_ranges(total_entries, math.ceil(max(1, total_entries) / max(1, chunk)))
-
-    t0 = time.perf_counter()
+    if chunk < 1:
+        raise InputError("chunk must be >= 1")
     tri = np.zeros(g.n, dtype=np.int64)
     bits = np.zeros(total_entries, dtype=bool)
-    edge_counts = np.zeros(adj.nbr.shape[0], dtype=np.int64)
-    total = 0
-    if ranges:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_detect_chunk, adj, prefixes, lo, hi) for lo, hi in ranges]
-            for fut in futures:  # fixed merge order: task submission order
-                t, b, ec, tt, cmp_ = fut.result()
-                tri += t
-                bits |= b
-                edge_counts += ec
-                total += tt
-                counters.merge_comparisons += cmp_
-    counters.triangles = total
+    for lo in range(0, total_entries, chunk):
+        found, comparisons = _merge_range(prefixes, off, poff, lo,
+                                          min(lo + chunk, total_entries), tri, bits)
+        counters.triangles += found
+        counters.merge_comparisons += comparisons
     counters.phase_seconds["detect"] = time.perf_counter() - t0
 
-    if total == 0:
-        cv = CentralityVector(scores=np.zeros(g.n), method="parallel", tri_total=0,
-                              triangle_free=True)
-        counters.phase_seconds["sum"] = 0.0
-        counters.phase_seconds["finalize"] = 0.0
-        return cv, counters
-
     t0 = time.perf_counter()
-    vranges = _chunk_ranges(g.n, workers * 4)
-    core = np.zeros(g.n, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_core_chunk, adj, tri, bits, lo, hi) for lo, hi in vranges]
-        for fut in futures:
-            core += fut.result()
-    core += tri
-    counters.phase_seconds["sum"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    s = _neighbor_sums(g, tri)
-    non_core = s - core + tri
-    scores = _scores_from_sums(core, non_core, total)
-    counters.phase_seconds["finalize"] = time.perf_counter() - t0
-    cv = CentralityVector(scores=scores, method="parallel", tri_total=total)
+    stats = TriangleStats(per_vertex=tri, total=counters.triangles)
+    marks = TriangleMarks(bits=bits, offsets=adj.prefix_offsets)
+    cv = tc_from_triangles(g, stats, adj=adj, marks=marks, method="parallel")
+    counters.phase_seconds["fold"] = time.perf_counter() - t0
     return cv, counters
 
 

@@ -8,6 +8,7 @@ as cross-checks. All routines agree on per-vertex counts, the global count,
 and the triangle-neighbor relation.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,28 +78,29 @@ def _prefix_lists(adj):
     return [adj.nbr[off[v]:off[v] + plen[v]].tolist() for v in range(adj.n)]
 
 
-def triangle_neighbor(adj, tally=None, per_edge=True):
-    """Merge-intersect the sorted prefixes of v and u for every prefix edge.
+def _merge_range(prefixes, off, poff, lo, hi, tri, bits, edge_counts=None):
+    """Merge-intersect the packed prefix entries [lo, hi) into caller buffers.
 
-    Returns per-vertex/global triangle counts, marks over the prefixes, and
-    (by default) canonical per-edge triangle counts. Each triangle increments
-    the three vertex counters and the global counter exactly once.
+    ``prefixes``, ``off`` and ``poff`` are an OrderedAdjacency's prefixes,
+    ``offsets`` and ``prefix_offsets`` as Python lists (plain ints index
+    faster than numpy scalars). Entry e of the packed index space is the prefix
+    edge (v, u) with ``poff[v] <= e < poff[v + 1]``. Each triangle found
+    increments ``tri`` at its three vertices, sets the marks of its three
+    edges in ``bits`` and, when given, bumps ``edge_counts`` at the canonical
+    positions of those edges. Returns ``(triangles, comparisons)``, so
+    consecutive ranges over the same buffers add up to one pass over [0, m).
     """
-    n = adj.n
-    tri = np.zeros(n, dtype=np.int64)
-    bits = np.zeros(int(adj.prefix_offsets[-1]), dtype=bool)
-    edge_counts = np.zeros(adj.nbr.shape[0], dtype=np.int64) if per_edge else None
-    poff = adj.prefix_offsets
-    off = adj.offsets
-    prefixes = _prefix_lists(adj)
     total = 0
     comparisons = 0
-    for v in range(n):
+    v = bisect_right(poff, lo) - 1
+    e = lo
+    while e < hi:
         pv = prefixes[v]
         pl = len(pv)
         base_v = off[v]
         mark_v = poff[v]
-        for i in range(pl):
+        row_end = min(hi, mark_v + pl)
+        for i in range(e - mark_v, row_end - mark_v):
             u = pv[i]
             pu = prefixes[u]
             ul = len(pu)
@@ -118,7 +120,7 @@ def triangle_neighbor(adj, tally=None, per_edge=True):
                     tri[u] += 1
                     tri[wv] += 1
                     total += 1
-                    if per_edge:
+                    if edge_counts is not None:
                         edge_counts[base_v + i] += 1  # {v,u}
                         edge_counts[base_v + x] += 1  # {v,w}
                         edge_counts[base_u + y] += 1  # {u,w}
@@ -130,31 +132,47 @@ def triangle_neighbor(adj, tally=None, per_edge=True):
                     y += 1
             if found:
                 bits[mark_v + i] = True
+        e = row_end
+        v += 1
+    return total, comparisons
+
+
+def triangle_neighbor(adj, tally=None, per_edge=True):
+    """Merge-intersect the sorted prefixes of v and u for every prefix edge.
+
+    Returns per-vertex/global triangle counts, marks over the prefixes, and
+    (by default) canonical per-edge triangle counts. Each triangle increments
+    the three vertex counters and the global counter exactly once.
+    """
+    tri = np.zeros(adj.n, dtype=np.int64)
+    bits = np.zeros(int(adj.prefix_offsets[-1]), dtype=bool)
+    edge_counts = np.zeros(adj.nbr.shape[0], dtype=np.int64) if per_edge else None
+    total, comparisons = _merge_range(_prefix_lists(adj), adj.offsets.tolist(),
+                                      adj.prefix_offsets.tolist(), 0, bits.shape[0],
+                                      tri, bits, edge_counts)
     if tally is not None:
         tally.merge_comparisons += comparisons
         tally.triangles += total
     stats = TriangleStats(per_vertex=tri, total=total, per_edge=edge_counts)
-    marks = TriangleMarks(bits=bits, offsets=poff)
+    marks = TriangleMarks(bits=bits, offsets=adj.prefix_offsets)
     return stats, marks
+
+
+def marked_pairs(adj, marks):
+    """Arrays ``(src, dst)`` holding every marked prefix entry (v, u) in both
+    directions: one row per ordered pair of triangle neighbors."""
+    e = np.flatnonzero(marks.bits)
+    v = np.searchsorted(adj.prefix_offsets, e, side="right") - 1
+    u = adj.nbr[adj.offsets[v] + e - adj.prefix_offsets[v]]
+    return np.concatenate((v, u)), np.concatenate((u, v))
 
 
 def materialize_triangle_neighbors(adj, marks):
     """Expand marks into explicit symmetric neighbor lists."""
-    lists = [[] for _ in range(adj.n)]
-    off = adj.offsets
-    poff = adj.prefix_offsets
-    bits = marks.bits
-    for v in range(adj.n):
-        base = off[v]
-        mbase = poff[v]
-        for i in range(adj.prefix_len[v]):
-            if bits[mbase + i]:
-                u = int(adj.nbr[base + i])
-                lists[v].append(u)
-                lists[u].append(v)
-    for row in lists:
-        row.sort()
-    return TriangleNeighborhood(lists)
+    src, dst = marked_pairs(adj, marks)
+    flat = dst[np.lexsort((dst, src))].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=adj.n)).tolist()
+    return TriangleNeighborhood([flat[a:b] for a, b in zip([0] + ends, ends)])
 
 
 def triangle_neighbor_alt(adj):

@@ -120,6 +120,23 @@ def test_threads_env_mirror(capsys, monkeypatch, karate_file):
     assert out.strip().splitlines()[0].startswith("14\t")
 
 
+def test_threads_env_not_an_integer(capsys, monkeypatch, karate_file):
+    monkeypatch.setenv("TC_THREADS", "abc")
+    code, _, err = run(capsys, "compute", karate_file, "--algo", "parallel")
+    assert code == 1 and err.startswith("error:")
+    code, out, _ = run(capsys, "compute", karate_file, "--algo", "main")
+    assert code == 0 and out.startswith("14\t")
+
+
+@pytest.mark.parametrize("algo", ["main", "basic", "algebraic", "parallel", "mapreduce"])
+def test_label_seen_only_in_a_self_loop(capsys, monkeypatch, algo):
+    # 9 becomes the last vertex and has no neighbors
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n2 3\n1 3\n9 9\n"))
+    code, out, _ = run(capsys, "compute", "-", "--algo", algo)
+    assert code == 0
+    assert out.splitlines() == ["1\t1.0", "2\t1.0", "3\t1.0", "9\t0.0"]
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "compute")[0] == 1

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,8 @@ def test_chunking_granularity_does_not_change_results():
     for chunk in (1, 7, 1000):
         cv, _ = parallel_triangle_centrality(g, ParallelConfig(workers=3, chunk=chunk))
         assert np.array_equal(cv.scores, ref.scores)
+    with pytest.raises(InputError):
+        parallel_triangle_centrality(g, ParallelConfig(chunk=-1))
 
 
 def test_empty_graph_counters_zero():
@@ -66,3 +70,16 @@ def test_worker_env_override(monkeypatch):
     assert ParallelConfig().resolved_workers() == 3
     with pytest.raises(InputError):
         ParallelConfig(workers=0).resolved_workers()
+    monkeypatch.setenv("TC_THREADS", "abc")
+    with pytest.raises(InputError):
+        ParallelConfig().resolved_workers()
+
+
+def test_huge_worker_count_starts_no_threads(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the parallel route started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    g = load_fixture("karate")
+    cv, _ = parallel_triangle_centrality(g, ParallelConfig(workers=10**6))
+    assert np.array_equal(cv.scores, triangle_centrality(g).scores)

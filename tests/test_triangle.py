@@ -7,7 +7,8 @@ import pytest
 from tricent.errors import InputError
 from tricent.generators import book_with_satellite, load_fixture
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
-from tricent.triangle import (MergeTally, brute_force_triangles,
+from tricent.triangle import (MergeTally, _merge_range, _prefix_lists,
+                              brute_force_triangles,
                               dump_neighborhood, edge_count_triples,
                               hash_intersection_tri_neighbors,
                               hash_neighbor_pair_count,
@@ -106,6 +107,25 @@ def test_merge_comparisons_bound(small_random_suite):
         tally = MergeTally()
         triangle_neighbor(ordered(g), tally=tally)
         assert tally.merge_comparisons <= 2 * g.m * math.sqrt(2 * g.m)
+
+
+def test_kernel_ranges_add_up_to_one_pass():
+    adj = ordered(load_fixture("dolphins"))
+    tally = MergeTally()
+    ref, ref_marks = triangle_neighbor(adj, tally=tally, per_edge=True)
+    rows = _prefix_lists(adj), adj.offsets.tolist(), adj.prefix_offsets.tolist()
+    m = int(adj.prefix_offsets[-1])
+    for k in range(m + 1):
+        tri = np.zeros(adj.n, dtype=np.int64)
+        bits = np.zeros(m, dtype=bool)
+        edge_counts = np.zeros(adj.nbr.shape[0], dtype=np.int64)
+        t1, c1 = _merge_range(*rows, 0, k, tri, bits, edge_counts)
+        t2, c2 = _merge_range(*rows, k, m, tri, bits, edge_counts)
+        assert t1 + t2 == ref.total
+        assert c1 + c2 == tally.merge_comparisons
+        assert np.array_equal(tri, ref.per_vertex)
+        assert np.array_equal(bits, ref_marks.bits)
+        assert np.array_equal(edge_counts, ref.per_edge)
 
 
 def test_per_edge_counts_are_common_neighbor_sizes(small_random_suite):
