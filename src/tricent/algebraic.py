@@ -5,19 +5,22 @@ product of the squared adjacency matrix with itself). It is built here by
 triangle enumeration rather than matrix multiplication, which is both faster
 and exact in int64; the score vector is (3A - 2*binarize(T) + I) @ (T @ 1)
 over the grand total, with the final division as the only float step.
+scipy is imported inside the functions that use it, so importing the package
+(and every route but this one) does not pay for loading scipy.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .centrality import CentralityVector
 from .errors import ConsistencyError, InputError
 from .graph import build_abbreviated_adjacency, degree_order
-from .triangle import edge_count_triples, triangle_neighbor
+from .triangle import edge_count_arrays, triangle_neighbor
 
 
 def adjacency_matrix(g):
     """CSR adjacency matrix with int64 unit entries and an empty diagonal."""
+    import scipy.sparse as sp
+
     rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
     A = sp.csr_matrix(
         (np.ones(2 * g.m, dtype=np.int64), (rows, g.neighbors)), shape=(g.n, g.n)
@@ -27,20 +30,19 @@ def adjacency_matrix(g):
 
 def build_triangle_matrix(g):
     """Symmetric CSR matrix of per-edge triangle counts via enumeration."""
+    import scipy.sparse as sp
+
     order = degree_order(g)
     adj = build_abbreviated_adjacency(g, order)
     stats, _ = triangle_neighbor(adj, per_edge=True)
-    triples = edge_count_triples(adj, stats)
-    if not triples:
-        return sp.csr_matrix((g.n, g.n), dtype=np.int64)
-    i, j, c = zip(*triples)
-    return sp.csr_matrix(
-        (np.asarray(c, dtype=np.int64), (np.asarray(i), np.asarray(j))), shape=(g.n, g.n)
-    )
+    i, j, c = edge_count_arrays(adj, stats)
+    return sp.csr_matrix((c, (i, j)), shape=(g.n, g.n))
 
 
 def tc_algebraic(A, T):
     """Score vector from the adjacency and triangle-count matrices."""
+    import scipy.sparse as sp
+
     n = A.shape[0]
     if T.shape != A.shape:
         raise InputError("A and T shapes differ")

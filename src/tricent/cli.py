@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 usage, 2 I/O, 3 internal consistency.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -29,6 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+@functools.cache
 def _build_parser():
     p = _Parser(prog="tc", description="Triangle centrality toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -65,21 +67,20 @@ def _build_parser():
 
 def _emit_scores(g, cv, fmt, out):
     ranking = rank_vertices(cv)
+    labels = list(map(g.labels.__getitem__, ranking.order.tolist()))
+    scores = ranking.scores[ranking.order].astype(float).tolist()
     if fmt == "json":
+        ranks = ranking.rank[ranking.order].tolist()
         payload = {
             "method": cv.method,
             "triangle_total": cv.tri_total,
             "triangle_free": cv.triangle_free,
-            "scores": [
-                {"vertex": str(g.label_of(int(v))), "score": float(cv.scores[int(v)]),
-                 "rank": int(ranking.rank[int(v)])}
-                for v in ranking.order
-            ],
+            "scores": [{"vertex": str(label), "score": score, "rank": rank}
+                       for label, score, rank in zip(labels, scores, ranks)],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     else:
-        for v in ranking.order:
-            out.write(f"{g.label_of(int(v))}\t{float(cv.scores[int(v)])!r}\n")
+        out.write("".join(map("{}\t{!r}\n".format, labels, scores)))
 
 
 def _run_algo(g, algo, threads):

@@ -172,25 +172,20 @@ def rank_vertices(cv, eps=1e-9):
     """Deterministic ranking of a CentralityVector (or raw score array)."""
     scores = cv.scores if isinstance(cv, CentralityVector) else np.asarray(cv, dtype=np.float64)
     n = scores.shape[0]
-    order = sorted(range(n), key=lambda v: (-scores[v], v))
-    groups = []
-    for v in order:
-        if groups and _close(scores[groups[-1][-1]], scores[v], eps):
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    rank = np.zeros(n, dtype=np.int64)
-    pos = 1
-    for grp in groups:
-        for v in grp:
-            rank[v] = pos
-        pos += len(grp)
-    return Ranking(order=np.array(order, dtype=np.int64), rank=rank,
-                   scores=scores.copy(), groups=groups)
-
-
-def _close(a, b, eps):
-    return abs(a - b) <= eps * max(abs(a), abs(b))
+    order = np.lexsort((np.arange(n), -scores))
+    ranked = scores[order]
+    # a vertex opens a new tie group unless its score is within relative eps
+    # of the previous vertex's in rank order
+    opens = np.ones(n, dtype=bool)
+    prev, cur = ranked[:-1], ranked[1:]
+    opens[1:] = ~(np.abs(prev - cur) <= eps * np.maximum(np.abs(prev), np.abs(cur)))
+    starts = np.flatnonzero(opens)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = starts[np.cumsum(opens) - 1] + 1
+    order_list = order.tolist()
+    bounds = starts.tolist() + [n]
+    groups = [order_list[i:j] for i, j in zip(bounds, bounds[1:])]
+    return Ranking(order=order, rank=rank, scores=scores.copy(), groups=groups)
 
 
 def top_k_jaccard(r1, r2, k=10):

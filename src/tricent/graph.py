@@ -7,6 +7,8 @@ are dense 0-based ids assigned in sorted label order, so label order and
 internal id order always agree.
 """
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +65,62 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# An edge-list line is blank or holds exactly two tokens. Whitespace is
+# str.split()'s (the same set as \s), and lines end at "\n" only, as in a
+# file read with universal newlines. Possessive quantifiers keep the match
+# from storing a backtracking point per line. The pattern only screens the
+# text: when it fails, a walk over the lines finds the bad one.
+_LINE = r"[^\S\n]*+(?:\S++[^\S\n]++\S++[^\S\n]*+)?"
+_EDGE_LINES = re.compile(rf"(?:{_LINE}\n)*+{_LINE}")
+_COMMENT = re.compile(r"^[^\S\n]*+#.*", re.MULTILINE)
+
+
+def _edge_tokens(text, source):
+    """Endpoint labels of an edge-list text, flat: ``[a1, b1, a2, b2, ...]``.
+
+    Comment lines (first non-blank character ``#``) and blank lines are
+    ignored. The labels are ints when ``int()`` accepts every token, and
+    strings otherwise.
+    """
+    if "#" in text:
+        text = _COMMENT.sub("", text)  # blanks each comment line, keeping line numbers
+    if _EDGE_LINES.fullmatch(text) is None:
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            tokens = line.split()
+            if tokens and len(tokens) != 2:
+                raise InputError(f"{source}:{lineno}: expected two tokens, "
+                                 f"got {len(tokens)}: {line.strip()!r}")
+    tokens = text.split()
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return tokens
+
+
+def _graph_from_ends(ends):
+    """Graph from flat endpoint labels ``[a1, b1, a2, b2, ...]``."""
+    try:
+        labels = sorted(set(ends))
+    except TypeError as exc:
+        raise InputError("edge labels must be mutually comparable "
+                         "(all ints or all strings)") from exc
+    n = len(labels)
+    index = dict(zip(labels, range(n)))
+    ids = np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=len(ends))
+    a, b = ids[0::2], ids[1::2]
+    loops = a == b
+    a, b = a[~loops], b[~loops]
+    # both orientations of every edge as packed (row, neighbor) keys, sorted
+    # (rows by id, each row by neighbor id) and without duplicates; a sort
+    # and a mask, since np.unique may hash first and is several times slower
+    arcs = np.sort(np.concatenate((a * n + b, b * n + a)))
+    arcs = arcs[np.diff(arcs, prepend=-1) != 0]
+    rows, neighbors = np.divmod(arcs, n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return Graph(n, arcs.shape[0] // 2, offsets, neighbors, tuple(labels))
+
+
 def build_graph(edge_list):
     """Build a simple undirected Graph from a possibly dirty edge list.
 
@@ -70,78 +128,54 @@ def build_graph(edge_list):
     labels are densely re-mapped preserving their sort order. An empty edge
     list yields the empty graph.
     """
-    try:
-        labels = sorted({x for e in edge_list for x in e})
-    except TypeError as exc:
-        raise InputError("edge labels must be mutually comparable "
-                         "(all ints or all strings)") from exc
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    pairs = set()
-    for a, b in edge_list:
-        if a == b:
-            continue
-        u, v = index[a], index[b]
-        pairs.add((u, v) if u < v else (v, u))
-    m = len(pairs)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    for u, v in pairs:
-        offsets[u + 1] += 1
-        offsets[v + 1] += 1
-    np.cumsum(offsets, out=offsets)
-    neighbors = np.empty(2 * m, dtype=np.int64)
-    fill = offsets[:-1].copy()
-    for u, v in sorted(pairs):
-        neighbors[fill[u]] = v
-        fill[u] += 1
-        neighbors[fill[v]] = u
-        fill[v] += 1
-    for u in range(n):
-        neighbors[offsets[u]:offsets[u + 1]].sort()
-    return Graph(n, m, offsets, neighbors, tuple(labels))
+    return _graph_from_ends([x for a, b in edge_list for x in (a, b)])
 
 
 def parse_edge_list(lines, source="<input>"):
     """Parse edge-list text: two whitespace-separated tokens per line.
 
-    Lines starting with ``#`` and blank lines are ignored. Integer tokens are
-    used as int labels when every token in the input is integral; otherwise
-    all labels stay strings.
+    ``lines`` is an open text file or an iterable of lines, with or without
+    their newlines. Lines starting with ``#`` and blank lines are ignored.
+    Integer tokens are used as int labels when every token in the input is
+    integral; otherwise all labels stay strings.
     """
-    raw = []
-    all_int = True
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise InputError(
-                f"{source}:{lineno}: expected two tokens, got {len(tokens)}: {stripped!r}"
-            )
-        raw.append(tokens)
-        if all_int:
-            for t in tokens:
-                try:
-                    int(t)
-                except ValueError:
-                    all_int = False
-                    break
-    if all_int:
-        return [(int(a), int(b)) for a, b in raw]
-    return [(a, b) for a, b in raw]
+    if hasattr(lines, "read"):
+        text = lines.read()
+    else:
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
+    ends = iter(_edge_tokens(text, source))
+    return list(zip(ends, ends))
+
+
+def _read_text(path_or_file):
+    """Whole text of an open file, of stdin ('-') or of a UTF-8 file path."""
+    if hasattr(path_or_file, "read"):
+        return path_or_file.read()
+    if path_or_file != "-":
+        with open(path_or_file, encoding="utf-8") as fh:
+            return fh.read()
+    if not hasattr(sys.stdin, "buffer"):  # stdin replaced by a text stream
+        return sys.stdin.read()
+    # decoded here, not by sys.stdin, whose error handler may pass any byte
+    # through; newlines translated as in text mode
+    text = sys.stdin.buffer.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_edge_list(path_or_file):
-    """Read an edge-list file (path, '-' for stdin, or open file) into a Graph."""
-    if hasattr(path_or_file, "read"):
-        return build_graph(parse_edge_list(path_or_file, source=getattr(path_or_file, "name", "<stream>")))
-    if path_or_file == "-":
-        import sys
+    """Read an edge-list file (path, '-' for stdin, or open file) into a Graph.
 
-        return build_graph(parse_edge_list(sys.stdin, source="<stdin>"))
-    with open(path_or_file) as fh:
-        return build_graph(parse_edge_list(fh, source=str(path_or_file)))
+    Input that is not UTF-8 raises OSError naming the source.
+    """
+    if hasattr(path_or_file, "read"):
+        source = getattr(path_or_file, "name", "<stream>")
+    else:
+        source = "<stdin>" if path_or_file == "-" else str(path_or_file)
+    try:
+        text = _read_text(path_or_file)
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{source}: not UTF-8 text: {exc}") from exc
+    return _graph_from_ends(_edge_tokens(text, source))
 
 
 def dump_edge_list(g, file):

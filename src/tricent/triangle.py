@@ -23,7 +23,7 @@ class TriangleStats:
     ``per_edge`` is aligned with the OrderedAdjacency neighbor array but only
     canonical positions are populated: the count of triangles on edge {u,v}
     sits at the lower-ordered endpoint's prefix entry for the other. Use
-    :func:`edge_count_triples` for the symmetric view.
+    :func:`edge_count_arrays` for the symmetric view.
     """
 
     per_vertex: np.ndarray
@@ -341,21 +341,23 @@ def brute_force_triangles(g, limit=256):
     return stats, TriangleNeighborhood([sorted(s) for s in tri_nbrs])
 
 
-def edge_count_triples(adj, stats):
-    """Symmetric (u, v, count) triples from canonical per-edge counts."""
+def edge_count_arrays(adj, stats):
+    """Symmetric per-edge triangle counts as ``(rows, cols, counts)`` int64
+    arrays, both orientations of every edge in at least one triangle."""
     if stats.per_edge is None:
         raise InputError("stats carry no per-edge counts")
-    out = []
-    off = adj.offsets
-    for v in range(adj.n):
-        base = off[v]
-        for i in range(adj.prefix_len[v]):
-            c = int(stats.per_edge[base + i])
-            if c:
-                u = int(adj.nbr[base + i])
-                out.append((v, u, c))
-                out.append((u, v, c))
-    return out
+    src = np.repeat(np.arange(adj.n, dtype=np.int64), adj.prefix_len)
+    # the canonical positions: each vertex's prefix entries in the row order
+    pos = np.arange(src.shape[0], dtype=np.int64) - adj.prefix_offsets[src] + adj.offsets[src]
+    counts = stats.per_edge[pos]
+    hit = counts != 0
+    v, u, c = src[hit], adj.nbr[pos[hit]], counts[hit]
+    return np.concatenate((v, u)), np.concatenate((u, v)), np.concatenate((c, c))
+
+
+def edge_count_triples(adj, stats):
+    """Symmetric (u, v, count) triples from canonical per-edge counts."""
+    return list(zip(*(a.tolist() for a in edge_count_arrays(adj, stats))))
 
 
 def dump_neighborhood(nbh, file, g=None):

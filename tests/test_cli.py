@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tricent
 from tricent.cli import main
 from tricent.generators import GEN_FAMILIES, load_fixture
 from tricent.graph import dump_edge_list
@@ -186,3 +191,52 @@ def test_gen_fixture_matches_bundled(capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 32
     assert out.startswith("a b\n")
+
+
+def test_compute_main_route_does_not_load_scipy(karate_file):
+    code = ("import sys, io, contextlib\n"
+            "import tricent.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert tricent.cli.main(['compute', {karate_file!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    env = dict(os.environ)
+    src = str(Path(tricent.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_non_utf8_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 2\n2 \xff\n")
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("i/o error: ") and str(path) in err
+
+
+def test_non_utf8_stdin_exits_two(capsys, monkeypatch):
+    # stdin's own error handler lets the byte through, as it does under a C locale
+    stdin = io.TextIOWrapper(io.BytesIO(b"1 2\n2 \xff\n"), encoding="utf-8",
+                             errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "compute", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("i/o error: <stdin>")
+
+
+def test_stdin_bytes_read_with_universal_newlines(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"1 2\r\n2 3\r1 3"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, _ = run(capsys, "compute", "-")
+    assert code == 0
+    assert out.splitlines() == ["1\t1.0", "2\t1.0", "3\t1.0"]
+
+
+def test_repeated_compute_calls_in_one_process(capsys, karate_file):
+    first = run(capsys, "compute", karate_file)
+    other = run(capsys, "compute", karate_file, "--algo", "basic", "--format", "json")
+    second = run(capsys, "compute", karate_file)
+    assert first[0] == other[0] == 0
+    assert first == second
+    assert first[1] != other[1]

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricent.centrality import CentralityVector
 from tricent.compare import (agreement_dot_matrices, best_jaccard_competitor,
@@ -120,6 +122,41 @@ def test_rank_vertices_scale_invariant():
     assert a.order.tolist() == b.order.tolist()
     assert a.rank.tolist() == b.rank.tolist()
     assert [len(grp) for grp in a.groups] == [len(grp) for grp in b.groups]
+
+
+def reference_ranking(scores, eps=1e-9):
+    """Keyed sort and a walk over consecutive scores: (order, rank, groups)."""
+    n = len(scores)
+    order = sorted(range(n), key=lambda v: (-scores[v], v))
+    groups = []
+    for v in order:
+        a, b = scores[groups[-1][-1]] if groups else None, scores[v]
+        if groups and abs(a - b) <= eps * max(abs(a), abs(b)):
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    rank = [0] * n
+    pos = 1
+    for grp in groups:
+        for v in grp:
+            rank[v] = pos
+        pos += len(grp)
+    return order, rank, groups
+
+
+# near-ties on both sides of the relative eps, exact ties, zeros and signs
+SCORES = st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 1.0 - 9e-10,
+                                   0.5, 0.25, -0.5, 1e-300, 3.0]), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SCORES)
+def test_rank_vertices_matches_keyed_sort_reference(values):
+    rk = rank_vertices(np.array(values, dtype=np.float64))
+    order, rank, groups = reference_ranking(values)
+    assert rk.order.tolist() == order
+    assert rk.rank.tolist() == rank
+    assert rk.groups == groups
 
 
 def test_karate_tc_rank_one_is_vertex_14():
