@@ -77,18 +77,16 @@ def betweenness_centrality(g):
     return CentralityVector(scores=scores / 2.0, method="BC")
 
 
-def _adjacency_dense(g):
-    A = np.zeros((g.n, g.n))
-    for v in range(g.n):
-        A[v, g.neighbors_of(v)] = 1.0
-    return A
+def _adjacency_product(g):
+    """The function x -> A @ x for g's adjacency matrix A, on the CSR arrays."""
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    return lambda x: np.bincount(rows, weights=x[g.neighbors], minlength=g.n)
 
 
-def _power_iterate(A, tol, max_iter):
-    n = A.shape[0]
+def _power_iterate(product, n, tol, max_iter):
     x = np.ones(n) / math.sqrt(n)
     for _ in range(max_iter):
-        y = A @ x
+        y = product(x)
         norm = np.linalg.norm(y)
         if norm == 0.0:
             return np.zeros(n), False
@@ -107,10 +105,10 @@ def eigenvector_centrality(g, tol=1e-10, max_iter=10000):
     """
     if g.n == 0:
         return CentralityVector(scores=np.zeros(0), method="EV")
-    A = _adjacency_dense(g)
-    x, ok = _power_iterate(A, tol, max_iter)
+    product = _adjacency_product(g)
+    x, ok = _power_iterate(product, g.n, tol, max_iter)
     if not ok:
-        x, ok = _power_iterate(A + np.eye(g.n), tol, max_iter)
+        x, ok = _power_iterate(lambda x: product(x) + x, g.n, tol, max_iter)
     return CentralityVector(scores=np.abs(x), method="EV", converged=ok)
 
 
@@ -122,12 +120,11 @@ def pagerank(g, damping=0.85, tol=1e-10, max_iter=10000):
     deg = g.degrees.astype(np.float64)
     dangling = deg == 0
     safe = np.where(dangling, 1.0, deg)
+    product = _adjacency_product(g)
     v = np.ones(n) / n
     ok = False
     for _ in range(max_iter):
-        spread = np.zeros(n)
-        contrib = v / safe
-        np.add.at(spread, g.neighbors, np.repeat(contrib, g.degrees.astype(np.int64)))
+        spread = product(v / safe)
         nxt = (1.0 - damping) / n + damping * (spread + v[dangling].sum() / n)
         if np.abs(nxt - v).sum() < tol:
             v = nxt

@@ -28,7 +28,7 @@ class Graph:
         self.offsets = offsets
         self.neighbors = neighbors
         self.labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._index = None  # label -> id, built on the first id_of call
 
     @property
     def degrees(self):
@@ -41,6 +41,8 @@ class Graph:
         return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
 
     def id_of(self, label):
+        if self._index is None:
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
         return self._index[label]
 
     def label_of(self, v):
@@ -51,12 +53,15 @@ class Graph:
         i = np.searchsorted(row, v)
         return bool(i < row.shape[0] and row[i] == v)
 
+    def _edge_ends(self):
+        """Arrays ``(u, v)`` of every undirected edge once, u < v, by (u, v)."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        upper = rows < self.neighbors
+        return rows[upper], self.neighbors[upper]
+
     def edges(self):
-        """Yield each undirected edge once as an (u, v) internal-id pair, u < v."""
-        for u in range(self.n):
-            for v in self.neighbors_of(u):
-                if u < v:
-                    yield u, int(v)
+        """Each undirected edge once as an (u, v) internal-id pair, u < v."""
+        return zip(*(a.tolist() for a in self._edge_ends()))
 
     def to_edge_list(self):
         return [(self.labels[u], self.labels[v]) for u, v in self.edges()]
@@ -272,7 +277,5 @@ def average_degeneracy(g):
     if g.m == 0:
         raise InputError("average degeneracy is undefined for an edgeless graph")
     deg = g.degrees
-    total = 0
-    for u, v in g.edges():
-        total += int(min(deg[u], deg[v]))
-    return Fraction(total, g.m)
+    u, v = g._edge_ends()
+    return Fraction(int(np.minimum(deg[u], deg[v]).sum()), g.m)

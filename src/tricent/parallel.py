@@ -3,11 +3,12 @@
 The paper's CREW-PRAM algorithm partitions the sequential work: the packed
 prefix entries (one per prefix edge) are cut into contiguous ranges, the
 shared merge kernel of :mod:`tricent.triangle` runs over each range in order
-into one set of count and mark buffers, and the score fold of
+into one list of per-edge triangle counts, the counts and marks are derived
+from that list as in the sequential path, and the score fold of
 :mod:`tricent.centrality` finishes the job. Phases: setup (order, prefixes),
 detect, fold. The ranges run in order in the calling thread: the kernel is
 pure Python and holds the interpreter lock, so threads would not overlap its
-work. All accumulation is integer, so results are bitwise identical to the
+work. All counting is exact, so results are bitwise identical to the
 sequential path for any partition. Work counters stand in for abstract
 processor-count claims.
 """
@@ -17,12 +18,10 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .centrality import tc_from_triangles
 from .errors import InputError
 from .graph import build_abbreviated_adjacency, degree_order
-from .triangle import TriangleMarks, TriangleStats, _merge_range, _prefix_lists
+from .triangle import _merge_range, _prefix_lists, _stats_and_marks
 
 
 @dataclass
@@ -62,7 +61,7 @@ def parallel_triangle_centrality(g, cfg=None):
     t0 = time.perf_counter()
     adj = build_abbreviated_adjacency(g, degree_order(g))
     prefixes = _prefix_lists(adj)
-    off, poff = adj.offsets.tolist(), adj.prefix_offsets.tolist()
+    poff = adj.prefix_offsets.tolist()
     counters.pair_tests = int(sum(p * (p - 1) // 2 for p in adj.prefix_len.tolist()))
     counters.phase_seconds["setup"] = time.perf_counter() - t0
 
@@ -71,18 +70,15 @@ def parallel_triangle_centrality(g, cfg=None):
     chunk = cfg.chunk or math.ceil(max(1, total_entries) / (workers * 4))
     if chunk < 1:
         raise InputError("chunk must be >= 1")
-    tri = np.zeros(g.n, dtype=np.int64)
-    bits = np.zeros(total_entries, dtype=bool)
+    counts = [0] * total_entries
     for lo in range(0, total_entries, chunk):
-        found, comparisons = _merge_range(prefixes, off, poff, lo,
-                                          min(lo + chunk, total_entries), tri, bits)
-        counters.triangles += found
-        counters.merge_comparisons += comparisons
+        counters.merge_comparisons += _merge_range(prefixes, poff, lo,
+                                                   min(lo + chunk, total_entries), counts)
+    stats, marks = _stats_and_marks(adj, counts, per_edge=False)
+    counters.triangles = stats.total
     counters.phase_seconds["detect"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    stats = TriangleStats(per_vertex=tri, total=counters.triangles)
-    marks = TriangleMarks(bits=bits, offsets=adj.prefix_offsets)
     cv = tc_from_triangles(g, stats, adj=adj, marks=marks, method="parallel")
     counters.phase_seconds["fold"] = time.perf_counter() - t0
     return cv, counters

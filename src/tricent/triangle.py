@@ -3,9 +3,11 @@
 The production path is the hash-free merge-intersection routine over sorted
 abbreviated adjacency prefixes (`triangle_neighbor`): every triangle is
 processed exactly once, from its lowest-ordered vertex, via the low-middle
-edge. Hash-based variants and a cubic brute-force oracle are kept alongside
-as cross-checks. All routines agree on per-vertex counts, the global count,
-and the triangle-neighbor relation.
+edge, and counted on its three edges; per-vertex and global counts and the
+triangle-neighbor marks are derived from those per-edge counts. Hash-based
+variants and a cubic brute-force oracle are kept alongside as cross-checks.
+All routines agree on per-vertex counts, the global count, and the
+triangle-neighbor relation.
 """
 
 from bisect import bisect_right
@@ -20,9 +22,9 @@ from .errors import InputError
 class TriangleStats:
     """Per-vertex counts, the global count, and optional per-edge counts.
 
-    ``per_edge`` is aligned with the OrderedAdjacency neighbor array but only
-    canonical positions are populated: the count of triangles on edge {u,v}
-    sits at the lower-ordered endpoint's prefix entry for the other. Use
+    ``per_edge`` is aligned with :class:`TriangleMarks` ``bits``: one count
+    per packed prefix entry, so the count of triangles on edge {u,v} sits at
+    the lower-ordered endpoint's prefix entry for the other. Use
     :func:`edge_count_arrays` for the symmetric view.
     """
 
@@ -78,92 +80,94 @@ def _prefix_lists(adj):
     return [adj.nbr[off[v]:off[v] + plen[v]].tolist() for v in range(adj.n)]
 
 
-def _merge_range(prefixes, off, poff, lo, hi, tri, bits, edge_counts=None):
-    """Merge-intersect the packed prefix entries [lo, hi) into caller buffers.
+def _merge_range(prefixes, poff, lo, hi, counts):
+    """Merge-intersect the packed prefix entries [lo, hi) into ``counts``.
 
-    ``prefixes``, ``off`` and ``poff`` are an OrderedAdjacency's prefixes,
-    ``offsets`` and ``prefix_offsets`` as Python lists (plain ints index
-    faster than numpy scalars). Entry e of the packed index space is the prefix
-    edge (v, u) with ``poff[v] <= e < poff[v + 1]``. Each triangle found
-    increments ``tri`` at its three vertices, sets the marks of its three
-    edges in ``bits`` and, when given, bumps ``edge_counts`` at the canonical
-    positions of those edges. Returns ``(triangles, comparisons)``, so
-    consecutive ranges over the same buffers add up to one pass over [0, m).
+    ``prefixes`` and ``poff`` are an OrderedAdjacency's prefixes and
+    ``prefix_offsets`` as Python lists (plain ints index faster than numpy
+    scalars). Entry e of the packed index space is the prefix edge (v, u) with
+    ``poff[v] <= e < poff[v + 1]``, and ``counts`` is a list with one slot per
+    entry: each triangle found adds 1 at its three edges. Returns the number
+    of merge comparisons, so consecutive ranges over the same list add up to
+    one pass over [0, m).
     """
-    total = 0
     comparisons = 0
     v = bisect_right(poff, lo) - 1
     e = lo
     while e < hi:
         pv = prefixes[v]
         pl = len(pv)
-        base_v = off[v]
         mark_v = poff[v]
         row_end = min(hi, mark_v + pl)
         for i in range(e - mark_v, row_end - mark_v):
             u = pv[i]
             pu = prefixes[u]
             ul = len(pu)
-            base_u = off[u]
             mark_u = poff[u]
-            found = False
             x = y = 0
             while x < pl and y < ul:
                 comparisons += 1
                 wv = pv[x]
                 wu = pu[y]
                 if wv == wu:
-                    found = True
-                    bits[mark_v + x] = True
-                    bits[mark_u + y] = True
-                    tri[v] += 1
-                    tri[u] += 1
-                    tri[wv] += 1
-                    total += 1
-                    if edge_counts is not None:
-                        edge_counts[base_v + i] += 1  # {v,u}
-                        edge_counts[base_v + x] += 1  # {v,w}
-                        edge_counts[base_u + y] += 1  # {u,w}
+                    counts[mark_v + x] += 1  # {v,w}
+                    counts[mark_u + y] += 1  # {u,w}
+                    counts[mark_v + i] += 1  # {v,u}
                     x += 1
                     y += 1
                 elif wv < wu:
                     x += 1
                 else:
                     y += 1
-            if found:
-                bits[mark_v + i] = True
         e = row_end
         v += 1
-    return total, comparisons
+    return comparisons
+
+
+def _entry_ends(adj, e):
+    """Endpoints ``(v, u)`` of the packed prefix entries ``e``, as arrays."""
+    v = np.searchsorted(adj.prefix_offsets, e, side="right") - 1
+    return v, adj.nbr[adj.offsets[v] + e - adj.prefix_offsets[v]]
+
+
+def _stats_and_marks(adj, counts, per_edge):
+    """Stats and marks from the kernel's per-entry triangle counts: a triangle
+    at v lies on two of v's edges and on three edges in all, and an entry is a
+    triangle-neighbor pair iff its count is positive."""
+    counts = np.array(counts, dtype=np.int64)
+    e = np.flatnonzero(counts)
+    v, u = _entry_ends(adj, e)
+    # float sums of integer counts, exact far beyond any count a graph reaches
+    w = counts[e]
+    halves = (np.bincount(v, weights=w, minlength=adj.n)
+              + np.bincount(u, weights=w, minlength=adj.n))
+    stats = TriangleStats(per_vertex=halves.astype(np.int64) // 2,
+                          total=int(counts.sum()) // 3,
+                          per_edge=counts if per_edge else None)
+    return stats, TriangleMarks(bits=counts > 0, offsets=adj.prefix_offsets)
 
 
 def triangle_neighbor(adj, tally=None, per_edge=True):
     """Merge-intersect the sorted prefixes of v and u for every prefix edge.
 
-    Returns per-vertex/global triangle counts, marks over the prefixes, and
-    (by default) canonical per-edge triangle counts. Each triangle increments
-    the three vertex counters and the global counter exactly once.
+    The kernel counts the triangles on every prefix edge; per-vertex and
+    global counts, the marks and (by default) the per-edge counts are derived
+    from those counts.
     """
-    tri = np.zeros(adj.n, dtype=np.int64)
-    bits = np.zeros(int(adj.prefix_offsets[-1]), dtype=bool)
-    edge_counts = np.zeros(adj.nbr.shape[0], dtype=np.int64) if per_edge else None
-    total, comparisons = _merge_range(_prefix_lists(adj), adj.offsets.tolist(),
-                                      adj.prefix_offsets.tolist(), 0, bits.shape[0],
-                                      tri, bits, edge_counts)
+    m = int(adj.prefix_offsets[-1])
+    counts = [0] * m
+    comparisons = _merge_range(_prefix_lists(adj), adj.prefix_offsets.tolist(), 0, m, counts)
+    stats, marks = _stats_and_marks(adj, counts, per_edge)
     if tally is not None:
         tally.merge_comparisons += comparisons
-        tally.triangles += total
-    stats = TriangleStats(per_vertex=tri, total=total, per_edge=edge_counts)
-    marks = TriangleMarks(bits=bits, offsets=adj.prefix_offsets)
+        tally.triangles += stats.total
     return stats, marks
 
 
 def marked_pairs(adj, marks):
     """Arrays ``(src, dst)`` holding every marked prefix entry (v, u) in both
     directions: one row per ordered pair of triangle neighbors."""
-    e = np.flatnonzero(marks.bits)
-    v = np.searchsorted(adj.prefix_offsets, e, side="right") - 1
-    u = adj.nbr[adj.offsets[v] + e - adj.prefix_offsets[v]]
+    v, u = _entry_ends(adj, np.flatnonzero(marks.bits))
     return np.concatenate((v, u)), np.concatenate((u, v))
 
 
@@ -232,7 +236,7 @@ def triangle_neighbor_alt(adj):
 
 
 def _edge_set(g):
-    return {(u, v) for u, v in g.edges()}
+    return set(g.edges())
 
 
 def hash_neighbor_pair_count(g, adj):
@@ -346,12 +350,9 @@ def edge_count_arrays(adj, stats):
     arrays, both orientations of every edge in at least one triangle."""
     if stats.per_edge is None:
         raise InputError("stats carry no per-edge counts")
-    src = np.repeat(np.arange(adj.n, dtype=np.int64), adj.prefix_len)
-    # the canonical positions: each vertex's prefix entries in the row order
-    pos = np.arange(src.shape[0], dtype=np.int64) - adj.prefix_offsets[src] + adj.offsets[src]
-    counts = stats.per_edge[pos]
-    hit = counts != 0
-    v, u, c = src[hit], adj.nbr[pos[hit]], counts[hit]
+    e = np.flatnonzero(stats.per_edge)
+    v, u = _entry_ends(adj, e)
+    c = stats.per_edge[e]
     return np.concatenate((v, u)), np.concatenate((u, v)), np.concatenate((c, c))
 
 

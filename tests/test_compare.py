@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,8 @@ from tricent.compare import (agreement_dot_matrices, best_jaccard_competitor,
                              eigenvector_centrality, pagerank, rank_vertices,
                              similarity_matrix, top_k_jaccard)
 from tricent.errors import InputError
-from tricent.generators import (clique, clique_bridge_hub, clique_star_hub,
-                                load_fixture, triad_hub)
+from tricent.generators import (clique, clique_bridge_hub, clique_ring,
+                                clique_star_hub, load_fixture, triad_hub)
 from tricent.graph import build_graph
 
 
@@ -84,6 +85,18 @@ def test_eigenvector_shifted_retry_on_bipartite():
     assert ev.converged  # plain iteration oscillates; the shifted retry lands
     want = np.array([0.5, 0.5, np.sqrt(2) / 2])  # labels sort as a, b, c
     assert np.allclose(ev.scores, want, atol=1e-9)
+
+
+def test_eigenvector_memory_is_linear_in_the_graph():
+    g, _ = clique_ring(1000, 4)  # n = 3000: a dense n x n matrix would take 72 MB
+    tracemalloc.start()
+    try:
+        ev = eigenvector_centrality(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ev.converged
+    assert peak < 8 * 2**20
 
 
 def test_pagerank_cases():

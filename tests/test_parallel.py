@@ -8,7 +8,8 @@ from tricent.errors import InputError
 from tricent.generators import clique, load_fixture
 from tricent.parallel import (ParallelConfig, parallel_triangle_centrality,
                               work_report)
-from tricent.graph import build_graph
+from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
+from tricent.triangle import MergeTally, triangle_neighbor
 
 
 def test_karate_deterministic_across_worker_counts():
@@ -35,6 +36,16 @@ def test_random_graphs_bitwise_equal(small_random_suite, widest_random_graphs):
             cv, counters = parallel_triangle_centrality(g, ParallelConfig(workers=workers))
             assert np.array_equal(cv.scores, ref.scores)
             assert counters.triangles == (ref.tri_total or 0)
+
+
+def test_counters_equal_one_merge_pass(small_random_suite, widest_random_graphs):
+    for g in small_random_suite[:20] + widest_random_graphs + [load_fixture("dolphins")]:
+        tally = MergeTally()
+        triangle_neighbor(build_abbreviated_adjacency(g, degree_order(g)), tally)
+        for workers in (1, 3, 7):
+            _, counters = parallel_triangle_centrality(g, ParallelConfig(workers=workers))
+            assert counters.merge_comparisons == tally.merge_comparisons
+            assert counters.triangles == tally.triangles
 
 
 def test_chunking_granularity_does_not_change_results():

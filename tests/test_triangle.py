@@ -8,7 +8,7 @@ from tricent.errors import InputError
 from tricent.generators import book_with_satellite, load_fixture
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
 from tricent.triangle import (MergeTally, _merge_range, _prefix_lists,
-                              brute_force_triangles,
+                              _stats_and_marks, brute_force_triangles,
                               dump_neighborhood, edge_count_triples,
                               hash_intersection_tri_neighbors,
                               hash_neighbor_pair_count,
@@ -113,19 +113,33 @@ def test_kernel_ranges_add_up_to_one_pass():
     adj = ordered(load_fixture("dolphins"))
     tally = MergeTally()
     ref, ref_marks = triangle_neighbor(adj, tally=tally, per_edge=True)
-    rows = _prefix_lists(adj), adj.offsets.tolist(), adj.prefix_offsets.tolist()
+    rows = _prefix_lists(adj), adj.prefix_offsets.tolist()
     m = int(adj.prefix_offsets[-1])
     for k in range(m + 1):
-        tri = np.zeros(adj.n, dtype=np.int64)
-        bits = np.zeros(m, dtype=bool)
-        edge_counts = np.zeros(adj.nbr.shape[0], dtype=np.int64)
-        t1, c1 = _merge_range(*rows, 0, k, tri, bits, edge_counts)
-        t2, c2 = _merge_range(*rows, k, m, tri, bits, edge_counts)
-        assert t1 + t2 == ref.total
+        counts = [0] * m
+        c1 = _merge_range(*rows, 0, k, counts)
+        c2 = _merge_range(*rows, k, m, counts)
         assert c1 + c2 == tally.merge_comparisons
-        assert np.array_equal(tri, ref.per_vertex)
-        assert np.array_equal(bits, ref_marks.bits)
-        assert np.array_equal(edge_counts, ref.per_edge)
+        assert counts == ref.per_edge.tolist()
+        stats, marks = _stats_and_marks(adj, counts, per_edge=True)
+        assert stats.total == ref.total
+        assert np.array_equal(stats.per_vertex, ref.per_vertex)
+        assert np.array_equal(marks.bits, ref_marks.bits)
+        assert np.array_equal(stats.per_edge, ref.per_edge)
+
+
+def test_per_edge_counts_align_with_marks(small_random_suite):
+    fixtures = [load_fixture(n) for n in ("borgatti", "karate", "dolphins", "hijackers")]
+    for g in small_random_suite + fixtures:
+        adj = ordered(g)
+        stats, marks = triangle_neighbor(adj, per_edge=True)
+        assert stats.per_edge.shape == marks.bits.shape
+        assert np.array_equal(marks.bits, stats.per_edge > 0)
+        for v in range(g.n):
+            nv = set(g.neighbors_of(v).tolist())
+            lo, hi = adj.prefix_offsets[v], adj.prefix_offsets[v + 1]
+            for u, c in zip(adj.prefix(v).tolist(), stats.per_edge[lo:hi].tolist()):
+                assert c == len(nv & set(g.neighbors_of(u).tolist()))
 
 
 def test_per_edge_counts_are_common_neighbor_sizes(small_random_suite):
