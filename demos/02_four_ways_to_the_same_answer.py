@@ -1,12 +1,13 @@
 """Compute the same scores along four independent routes and diff them.
 
-main      merge intersections over sorted higher-ordered adjacency prefixes,
-          no hashing, each triangle processed exactly once
+main      vectorized wedge checks inside sorted higher-ordered adjacency
+          prefixes, no hashing, each triangle found exactly once
 basic     hash-set edge lookups over neighbor pairs
 algebraic sparse matrices: (3A - 2*binarize(T) + I) @ (T @ 1) / sum(T)
-parallel  the main kernel run over contiguous ranges of prefix entries, in
-          order, into shared buffers, then the same fold; the worker count
-          sets the number of ranges (no threads: the kernel holds the GIL)
+parallel  the merge-intersection kernel run over contiguous ranges of
+          prefix entries, in order, into shared buffers, then the same fold;
+          the worker count sets the number of ranges (no threads: the kernel
+          holds the GIL)
 """
 
 import numpy as np

@@ -32,6 +32,6 @@ from .triangle import (MergeTally, TriangleMarks, TriangleNeighborhood,
                        hash_intersection_tri_neighbors, hash_neighbor_pair_count,
                        hash_neighbor_pair_tri_neighbors,
                        materialize_triangle_neighbors, triangle_neighbor,
-                       triangle_neighbor_alt)
+                       triangle_neighbor_alt, wedge_counts)
 
 __version__ = "0.1.0"

@@ -1,10 +1,12 @@
 """Sparse-matrix formulation of triangle centrality.
 
 T holds per-edge triangle counts on the adjacency pattern (the elementwise
-product of the squared adjacency matrix with itself). It is built here by
-triangle enumeration rather than matrix multiplication, which is both faster
-and exact in int64; the score vector is (3A - 2*binarize(T) + I) @ (T @ 1)
-over the grand total, with the final division as the only float step.
+product of the squared adjacency matrix with itself). It is built here from
+the per-edge counts of the blocked wedge-check kernel
+(`tricent.triangle.wedge_counts`) rather than by matrix multiplication,
+which is both faster and exact in int64; the score vector is
+(3A - 2*binarize(T) + I) @ (T @ 1) over the grand total, with the final
+division as the only float step.
 scipy is imported inside the functions that use it, so importing the package
 (and every route but this one) does not pay for loading scipy.
 """
@@ -14,7 +16,7 @@ import numpy as np
 from .centrality import CentralityVector
 from .errors import ConsistencyError, InputError
 from .graph import build_abbreviated_adjacency, degree_order
-from .triangle import edge_count_arrays, triangle_neighbor
+from .triangle import _stats_and_marks, edge_count_arrays, wedge_counts
 
 
 def adjacency_matrix(g):
@@ -34,7 +36,7 @@ def build_triangle_matrix(g):
 
     order = degree_order(g)
     adj = build_abbreviated_adjacency(g, order)
-    stats, _ = triangle_neighbor(adj, per_edge=True)
+    stats, _ = _stats_and_marks(adj, wedge_counts(adj), per_edge=True)
     i, j, c = edge_count_arrays(adj, stats)
     return sp.csr_matrix((c, (i, j)), shape=(g.n, g.n))
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import InputError
 from .graph import build_abbreviated_adjacency, degree_order
-from .triangle import hash_neighbor_pair_tri_neighbors, marked_pairs, triangle_neighbor
+from .triangle import (_stats_and_marks, hash_neighbor_pair_tri_neighbors, marked_pairs,
+                       wedge_counts)
 
 
 @dataclass
@@ -76,11 +77,12 @@ def tc_from_triangles(g, stats, neighborhood=None, adj=None, marks=None, method=
 
 
 def triangle_centrality(g):
-    """Production pipeline: degree order, abbreviated adjacency, merge-based
-    triangle neighbors, then the score fold over marks."""
+    """Production pipeline: degree order, abbreviated adjacency, per-edge
+    triangle counts from the blocked wedge-check kernel, the counts and marks
+    derived from them, then the score fold over marks."""
     order = degree_order(g)
     adj = build_abbreviated_adjacency(g, order)
-    stats, marks = triangle_neighbor(adj, per_edge=False)
+    stats, marks = _stats_and_marks(adj, wedge_counts(adj), per_edge=False)
     return tc_from_triangles(g, stats, adj=adj, marks=marks, method="main")
 
 

@@ -169,7 +169,7 @@ def rank_vertices(cv, eps=1e-9):
     """Deterministic ranking of a CentralityVector (or raw score array)."""
     scores = cv.scores if isinstance(cv, CentralityVector) else np.asarray(cv, dtype=np.float64)
     n = scores.shape[0]
-    order = np.lexsort((np.arange(n), -scores))
+    order = np.argsort(-scores, kind="stable")
     ranked = scores[order]
     # a vertex opens a new tie group unless its score is within relative eps
     # of the previous vertex's in rank order
@@ -177,8 +177,12 @@ def rank_vertices(cv, eps=1e-9):
     prev, cur = ranked[:-1], ranked[1:]
     opens[1:] = ~(np.abs(prev - cur) <= eps * np.maximum(np.abs(prev), np.abs(cur)))
     starts = np.flatnonzero(opens)
+    group = np.cumsum(opens) - 1
     rank = np.empty(n, dtype=np.int64)
-    rank[order] = starts[np.cumsum(opens) - 1] + 1
+    rank[order] = starts[group] + 1
+    # each tie group by label: the key is already sorted outside tie groups,
+    # and numpy's stable sort, which merges sorted runs, is near linear on it
+    order = order[np.argsort(group * n + order, kind="stable")]
     order_list = order.tolist()
     bounds = starts.tolist() + [n]
     groups = [order_list[i:j] for i, j in zip(bounds, bounds[1:])]

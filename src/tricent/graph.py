@@ -253,8 +253,8 @@ class OrderedAdjacency:
 def build_abbreviated_adjacency(g, order):
     """Partition each neighbor row into higher-/lower-ordered halves.
 
-    Stable partition per row with the prefix sorted ascending for merge
-    intersections; linear scan plus the prefix sorting cost, vectorized.
+    One stable sort on (row, not-in-prefix): rows arrive sorted by id, so
+    each prefix comes out sorted ascending and the rest keeps row order.
     """
     offsets = g.offsets
     rank = order.rank
@@ -264,10 +264,7 @@ def build_abbreviated_adjacency(g, order):
     nbr = g.neighbors
     src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
     in_prefix = rank[nbr] > rank[src]
-    # within a row: prefix entries first (sorted by neighbor id), then the
-    # rest in original row order
-    tail_key = np.where(in_prefix, nbr, np.arange(nbr.shape[0], dtype=np.int64))
-    perm = np.lexsort((tail_key, ~in_prefix, src))
+    perm = np.argsort(src * 2 + ~in_prefix, kind="stable")
     prefix_len = np.bincount(src[in_prefix], minlength=g.n).astype(np.int64)
     return OrderedAdjacency(g.n, g.m, offsets, nbr[perm], prefix_len, rank)
 

@@ -1,13 +1,15 @@
 """Triangle counting and triangle-neighborhood identification.
 
-The production path is the hash-free merge-intersection routine over sorted
-abbreviated adjacency prefixes (`triangle_neighbor`): every triangle is
-processed exactly once, from its lowest-ordered vertex, via the low-middle
-edge, and counted on its three edges; per-vertex and global counts and the
-triangle-neighbor marks are derived from those per-edge counts. Hash-based
-variants and a cubic brute-force oracle are kept alongside as cross-checks.
-All routines agree on per-vertex counts, the global count, and the
-triangle-neighbor relation.
+Both production kernels find every triangle exactly once, from its
+lowest-ordered vertex, inside the sorted abbreviated adjacency prefixes, and
+count it on its three edges; per-vertex and global counts and the
+triangle-neighbor marks are derived from those per-edge counts. The
+production path is the vectorized wedge check (`wedge_counts`), run in
+blocks of bounded size. The pure-Python merge intersection (`triangle_neighbor`,
+over `_merge_range`) is its oracle, and it also serves the partitioned route
+and the merge-comparison counts. Hash-based variants and a cubic brute-force
+oracle are kept alongside as cross-checks. All routines agree on per-vertex
+counts, the global count, and the triangle-neighbor relation.
 """
 
 from bisect import bisect_right
@@ -74,10 +76,18 @@ class MergeTally:
     triangles: int = 0
 
 
+def _packed_prefixes(adj):
+    """Every vertex's prefix in packed entry order: entry e holds the higher
+    endpoint u of the prefix edge (v, u), an array of length m."""
+    idx = np.repeat(adj.offsets[:-1] - adj.prefix_offsets[:-1], adj.prefix_len)
+    idx += np.arange(idx.shape[0])
+    return adj.nbr[idx]
+
+
 def _prefix_lists(adj):
-    off = adj.offsets
-    plen = adj.prefix_len
-    return [adj.nbr[off[v]:off[v] + plen[v]].tolist() for v in range(adj.n)]
+    flat = _packed_prefixes(adj).tolist()
+    poff = adj.prefix_offsets.tolist()
+    return [flat[a:b] for a, b in zip(poff, poff[1:])]
 
 
 def _merge_range(prefixes, poff, lo, hi, counts):
@@ -124,6 +134,64 @@ def _merge_range(prefixes, poff, lo, hi, counts):
     return comparisons
 
 
+# Wedges checked per block by wedge_counts. A block's index arrays are the
+# kernel's only memory beyond its few length-m arrays; on clique(260), blocks
+# four times as large took longer and traced three times the peak memory.
+_WEDGE_BLOCK = 1 << 14
+
+
+def wedge_counts(adj):
+    """Per-entry triangle counts by checking the wedges inside each prefix.
+
+    Two entries (v, a), (v, b) of one prefix form a wedge, closed iff {a, b}
+    is an edge, which the lower-ordered of a and b holds as a prefix entry.
+    The wedge's packed key (lower * n + other) is looked up with
+    ``searchsorted`` among the entries' keys ``v * n + u``, which are sorted,
+    and each closed wedge adds 1 at its three entries. The result is the
+    int64 array of counts that ``_merge_range`` writes, entry for entry.
+    Entries are taken in blocks of about ``_WEDGE_BLOCK`` wedges, so memory
+    stays O(m) however many wedges the graph has.
+    """
+    n, poff = adj.n, adj.prefix_offsets
+    m = int(poff[-1])
+    counts = np.zeros(m, dtype=np.int64)
+    if m == 0:
+        return counts
+    higher = _packed_prefixes(adj)
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, adj.prefix_len)
+    keys += higher
+    # entry e opens one wedge with each later entry of its row; a block ends
+    # where the running wedge count passes a multiple of the block size
+    running = np.repeat(poff[1:], adj.prefix_len)
+    running -= np.arange(1, m + 1)
+    np.cumsum(running, out=running)
+    cuts = np.searchsorted(running, np.arange(_WEDGE_BLOCK, running[-1], _WEDGE_BLOCK),
+                           side="right").tolist()
+    del running
+    lo = 0
+    for hi in cuts + [m]:
+        e = np.arange(lo, hi)
+        w = poff[np.searchsorted(poff, e, side="right")] - e - 1
+        first = np.repeat(e, w)
+        # second runs over the entries after first in its row
+        second = np.repeat(e + 1 + w - np.cumsum(w), w)
+        second += np.arange(second.shape[0])
+        a, b = higher[first], higher[second]
+        key = np.where(adj.rank[a] < adj.rank[b], a * n + b, b * n + a)
+        # sorted needles make searchsorted's probes walk the keys in order
+        order = np.argsort(key)
+        key = key[order]
+        at = np.searchsorted(keys, key)
+        np.minimum(at, m - 1, out=at)
+        hit = keys[at] == key
+        closed = order[hit]
+        np.add.at(counts, first[closed], 1)
+        np.add.at(counts, second[closed], 1)
+        np.add.at(counts, at[hit], 1)
+        lo = hi
+    return counts
+
+
 def _entry_ends(adj, e):
     """Endpoints ``(v, u)`` of the packed prefix entries ``e``, as arrays."""
     v = np.searchsorted(adj.prefix_offsets, e, side="right") - 1
@@ -134,7 +202,7 @@ def _stats_and_marks(adj, counts, per_edge):
     """Stats and marks from the kernel's per-entry triangle counts: a triangle
     at v lies on two of v's edges and on three edges in all, and an entry is a
     triangle-neighbor pair iff its count is positive."""
-    counts = np.array(counts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     e = np.flatnonzero(counts)
     v, u = _entry_ends(adj, e)
     # float sums of integer counts, exact far beyond any count a graph reaches
@@ -354,11 +422,6 @@ def edge_count_arrays(adj, stats):
     v, u = _entry_ends(adj, e)
     c = stats.per_edge[e]
     return np.concatenate((v, u)), np.concatenate((u, v)), np.concatenate((c, c))
-
-
-def edge_count_triples(adj, stats):
-    """Symmetric (u, v, count) triples from canonical per-edge counts."""
-    return list(zip(*(a.tolist() for a in edge_count_arrays(adj, stats))))
 
 
 def dump_neighborhood(nbh, file, g=None):

@@ -91,6 +91,17 @@ def test_json_format(capsys, karate_file):
     assert payload["scores"][0]["rank"] == 1
 
 
+@pytest.mark.parametrize("text", [
+    "", "1 2\n", 'a"b Ωmega\nx\\y é\nΩmega x\\y\na"b x\\y\n',
+])
+def test_json_layout_is_json_dumps_indent_two(capsys, monkeypatch, text):
+    # no edges, one edge without triangles, and labels that need escaping
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "compute", "-", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_mapreduce_round_table(capsys, karate_file):
     code, out, err = run(capsys, "mapreduce", karate_file)
     assert code == 0

@@ -128,6 +128,16 @@ def test_rank_vertices_competition_ranking():
     assert all_equal.rank.tolist() == [1, 1, 1, 1]
 
 
+def test_rank_vertices_orders_each_tie_group_by_label():
+    # float order within the first group is 3, 1, 0; label order is 0, 1, 3
+    scores = np.array([1.0, 1.0 + 2e-12, 0.5, 1.0 + 4e-12, 0.5 - 1e-13])
+    rk = rank_vertices(CentralityVector(scores=scores, method="x"))
+    assert rk.groups == [[0, 1, 3], [2, 4]]
+    assert rk.order.tolist() == [0, 1, 3, 2, 4]
+    assert rk.rank.tolist() == [1, 1, 4, 1, 4]
+    assert rk.top(2) == [0, 1]
+
+
 def test_rank_vertices_scale_invariant():
     scores = np.array([3.0, 1.0, 1.0, 0.25, 7.5])
     a = rank_vertices(CentralityVector(scores=scores, method="x"))
@@ -138,16 +148,18 @@ def test_rank_vertices_scale_invariant():
 
 
 def reference_ranking(scores, eps=1e-9):
-    """Keyed sort and a walk over consecutive scores: (order, rank, groups)."""
+    """Keyed sort and a walk over consecutive scores, then each tie group in
+    label order: (order, rank, groups)."""
     n = len(scores)
-    order = sorted(range(n), key=lambda v: (-scores[v], v))
     groups = []
-    for v in order:
+    for v in sorted(range(n), key=lambda v: (-scores[v], v)):
         a, b = scores[groups[-1][-1]] if groups else None, scores[v]
         if groups and abs(a - b) <= eps * max(abs(a), abs(b)):
             groups[-1].append(v)
         else:
             groups.append([v])
+    groups = [sorted(grp) for grp in groups]
+    order = [v for grp in groups for v in grp]
     rank = [0] * n
     pos = 1
     for grp in groups:

@@ -1,20 +1,25 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tricent import triangle
+from tricent.centrality import tc_from_triangles, triangle_centrality
 from tricent.errors import InputError
-from tricent.generators import book_with_satellite, load_fixture
+from tricent.generators import book_with_satellite, clique, load_fixture
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
 from tricent.triangle import (MergeTally, _merge_range, _prefix_lists,
                               _stats_and_marks, brute_force_triangles,
-                              dump_neighborhood, edge_count_triples,
+                              dump_neighborhood, edge_count_arrays,
                               hash_intersection_tri_neighbors,
                               hash_neighbor_pair_count,
                               hash_neighbor_pair_tri_neighbors,
                               materialize_triangle_neighbors, triangle_neighbor,
-                              triangle_neighbor_alt)
+                              triangle_neighbor_alt, wedge_counts)
+
+FIXTURE_NAMES = ("borgatti", "karate", "dolphins", "hijackers")
 
 
 def ordered(g):
@@ -147,7 +152,7 @@ def test_per_edge_counts_are_common_neighbor_sizes(small_random_suite):
         adj = ordered(g)
         stats, _ = triangle_neighbor(adj, per_edge=True)
         seen = set()
-        for i, j, c in edge_count_triples(adj, stats):
+        for i, j, c in zip(*(a.tolist() for a in edge_count_arrays(adj, stats))):
             seen.add((min(i, j), max(i, j)))
             ni = set(g.neighbors_of(i).tolist())
             nj = set(g.neighbors_of(j).tolist())
@@ -159,6 +164,56 @@ def test_per_edge_counts_are_common_neighbor_sizes(small_random_suite):
                 assert not (nu & set(g.neighbors_of(v).tolist()))
         if stats.per_edge is not None:
             assert int(stats.per_edge.sum()) == 3 * stats.total
+
+
+def merge_counts(adj):
+    """Per-entry triangle counts from one pass of the merge kernel."""
+    m = int(adj.prefix_offsets[-1])
+    counts = [0] * m
+    _merge_range(_prefix_lists(adj), adj.prefix_offsets.tolist(), 0, m, counts)
+    return counts
+
+
+def test_wedge_counts_equal_merge_counts(small_random_suite, random_suite_500):
+    fixtures = [load_fixture(name) for name in FIXTURE_NAMES]
+    for g in fixtures + small_random_suite + random_suite_500:
+        adj = ordered(g)
+        counts = wedge_counts(adj)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == merge_counts(adj)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_wedge_counts_do_not_depend_on_the_blocks(monkeypatch, small_random_suite, block):
+    # block 1 puts one entry per block, however many wedges it opens, and
+    # small blocks end inside rows
+    graphs = [load_fixture(name) for name in FIXTURE_NAMES] + small_random_suite
+    want = [wedge_counts(ordered(g)).tolist() for g in graphs]
+    monkeypatch.setattr(triangle, "_WEDGE_BLOCK", block)
+    assert [wedge_counts(ordered(g)).tolist() for g in graphs] == want
+
+
+def test_triangle_centrality_scores_equal_the_merge_route(small_random_suite,
+                                                          random_suite_500):
+    fixtures = [load_fixture(name) for name in FIXTURE_NAMES]
+    for g in fixtures + small_random_suite + random_suite_500:
+        adj = ordered(g)
+        stats, marks = triangle_neighbor(adj, per_edge=False)
+        merged = tc_from_triangles(g, stats, adj=adj, marks=marks)
+        assert triangle_centrality(g).scores.tobytes() == merged.scores.tobytes()
+
+
+def test_wedge_counts_memory_is_bounded():
+    g, _ = clique(260)  # 2.9e6 wedges: unblocked, their index arrays need > 150 MB
+    adj = ordered(g)
+    tracemalloc.start()
+    try:
+        counts = wedge_counts(adj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(counts == 258)  # every edge of K_k lies in k - 2 triangles
+    assert peak < 8 * 2**20
 
 
 def test_hash_pair_neighbors_on_triangle_free_tree():
