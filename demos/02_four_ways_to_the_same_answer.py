@@ -4,10 +4,9 @@ main      vectorized wedge checks inside sorted higher-ordered adjacency
           prefixes, no hashing, each triangle found exactly once
 basic     hash-set edge lookups over neighbor pairs
 algebraic sparse matrices: (3A - 2*binarize(T) + I) @ (T @ 1) / sum(T)
-parallel  the merge-intersection kernel run over contiguous ranges of
-          prefix entries, in order, into shared buffers, then the same fold;
-          the worker count sets the number of ranges (no threads: the kernel
-          holds the GIL)
+parallel  the PRAM route: one pass of the merge-intersection kernel, in one
+          thread, plus its work counters, then the same fold; the worker
+          count is checked but changes no work (the kernel holds the GIL)
 """
 
 import numpy as np

@@ -39,7 +39,8 @@ def _build_parser():
     pc.add_argument("path", help="edge-list file, or - for stdin")
     pc.add_argument("--algo", choices=["main", "basic", "algebraic", "parallel", "mapreduce"],
                     default="main")
-    pc.add_argument("--threads", type=int, default=None)
+    pc.add_argument("--threads", type=int, default=None,
+                    help="worker count for --algo parallel: checked, changes no work")
     pc.add_argument("--stats", action="store_true", help="print work counters to stderr")
     pc.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
@@ -61,7 +62,8 @@ def _build_parser():
     pb.add_argument("paths", nargs="*")
     pb.add_argument("--algo", action="append",
                     choices=["main", "basic", "algebraic", "parallel", "mapreduce"])
-    pb.add_argument("--threads", type=int, default=None)
+    pb.add_argument("--threads", type=int, default=None,
+                    help="worker count for --algo parallel: checked, changes no work")
     return p
 
 
@@ -140,19 +142,21 @@ def _cmd_compare(args):
     results = compute_all(g)
     rankings = {name: rank_vertices(cv) for name, cv in results.items()}
     k = min(args.k, g.n)
+    names = list(rankings)
+    # the Jaccard table first, so a bad k writes nothing
+    table = []
+    for a in names:
+        row = [a] + ["1" if a == b else str(top_k_jaccard(rankings[a], rankings[b], k))
+                     for b in names]
+        table.append("\t".join(row) + "\n")
     out = sys.stdout
     out.write("measure\ttop\ttop-" + str(k) + "\n")
     for name, rk in rankings.items():
         top = " ".join(str(g.label_of(v)) for v in rk.top(k))
         out.write(f"{name}\t{g.label_of(int(rk.order[0]))}\t{top}\n")
-    names = list(rankings)
     out.write("\npairwise top-%d Jaccard\n" % k)
     out.write("\t" + "\t".join(names) + "\n")
-    for a in names:
-        row = [a]
-        for b in names:
-            row.append("1" if a == b else str(top_k_jaccard(rankings[a], rankings[b], k)))
-        out.write("\t".join(row) + "\n")
+    out.writelines(table)
     return 0
 
 

@@ -190,13 +190,14 @@ def rank_vertices(cv, eps=1e-9):
 
 
 def top_k_jaccard(r1, r2, k=10):
-    """Exact Jaccard index of the two top-k sets."""
+    """Exact Jaccard index of the two top-k sets, 1 <= k <= n."""
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
     if r1.order.shape[0] < k or r2.order.shape[0] < k:
         raise InputError(f"rankings must cover at least k={k} vertices")
     s1, s2 = r1.top_set(k), r2.top_set(k)
     inter = len(s1 & s2)
-    union = len(s1) + len(s2) - inter
-    return Fraction(inter, union) if union else Fraction(1)
+    return Fraction(inter, len(s1) + len(s2) - inter)
 
 
 def best_jaccard_competitor(measure, rankings, k=10):

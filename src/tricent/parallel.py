@@ -1,15 +1,14 @@
-"""Deterministic partitioned triangle centrality.
+"""The paper's CREW-PRAM route, kept for its work bound.
 
-The paper's CREW-PRAM algorithm partitions the sequential work: the packed
-prefix entries (one per prefix edge) are cut into contiguous ranges, the
-shared merge kernel of :mod:`tricent.triangle` runs over each range in order
-into one list of per-edge triangle counts, the counts and marks are derived
-from that list as in the sequential path, and the score fold of
-:mod:`tricent.centrality` finishes the job. Phases: setup (order, prefixes),
-detect, fold. The ranges run in order in the calling thread: the kernel is
-pure Python and holds the interpreter lock, so threads would not overlap its
-work. All counting is exact, so results are bitwise identical to the
-sequential path for any partition. Work counters stand in for abstract
+The route is the merge kernel of :mod:`tricent.triangle` plus its work
+counters: one pass of ``triangle_neighbor`` over the abbreviated adjacency,
+in one thread, fills the triangle and merge-comparison counts, the prefix
+lengths give the pair tests, and the score fold of :mod:`tricent.centrality`
+finishes the job. Phases: setup (order, prefixes), detect, fold. The worker
+count is validated but changes no work: the kernel is pure Python and holds
+the interpreter lock, and a thread pool over the numpy wedge kernel gained
+nothing on Holme-Kim graphs. All counting is exact, so results are bitwise
+identical to the sequential path. Work counters stand in for abstract
 processor-count claims.
 """
 
@@ -18,18 +17,19 @@ import os
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .centrality import tc_from_triangles
 from .errors import InputError
 from .graph import build_abbreviated_adjacency, degree_order
-from .triangle import _merge_range, _prefix_lists, _stats_and_marks
+from .triangle import MergeTally, triangle_neighbor
 
 
 @dataclass
 class ParallelConfig:
-    # workers sets the partition: workers * 4 ranges unless chunk is given;
-    # None means the TC_THREADS environment variable, else the CPU count
+    # validated, changes no work; None means the TC_THREADS environment
+    # variable, else the CPU count
     workers: int | None = None
-    chunk: int | None = None    # prefix entries per range
 
     def resolved_workers(self):
         w = self.workers
@@ -45,37 +45,24 @@ class ParallelConfig:
 
 
 @dataclass
-class WorkCounters:
+class WorkCounters(MergeTally):
     pair_tests: int = 0
-    triangles: int = 0
-    merge_comparisons: int = 0
     phase_seconds: dict = field(default_factory=dict)
 
 
 def parallel_triangle_centrality(g, cfg=None):
     """Scores plus work counters; bitwise equal to the sequential pipeline."""
-    cfg = cfg or ParallelConfig()
-    workers = cfg.resolved_workers()
+    (cfg or ParallelConfig()).resolved_workers()
     counters = WorkCounters()
 
     t0 = time.perf_counter()
     adj = build_abbreviated_adjacency(g, degree_order(g))
-    prefixes = _prefix_lists(adj)
-    poff = adj.prefix_offsets.tolist()
-    counters.pair_tests = int(sum(p * (p - 1) // 2 for p in adj.prefix_len.tolist()))
+    p = adj.prefix_len
+    counters.pair_tests = int(np.sum(p * (p - 1) // 2))
     counters.phase_seconds["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    total_entries = int(adj.prefix_offsets[-1])
-    chunk = cfg.chunk or math.ceil(max(1, total_entries) / (workers * 4))
-    if chunk < 1:
-        raise InputError("chunk must be >= 1")
-    counts = [0] * total_entries
-    for lo in range(0, total_entries, chunk):
-        counters.merge_comparisons += _merge_range(prefixes, poff, lo,
-                                                   min(lo + chunk, total_entries), counts)
-    stats, marks = _stats_and_marks(adj, counts, per_edge=False)
-    counters.triangles = stats.total
+    stats, marks = triangle_neighbor(adj, counters, per_edge=False)
     counters.phase_seconds["detect"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -6,13 +6,13 @@ count it on its three edges; per-vertex and global counts and the
 triangle-neighbor marks are derived from those per-edge counts. The
 production path is the vectorized wedge check (`wedge_counts`), run in
 blocks of bounded size. The pure-Python merge intersection (`triangle_neighbor`,
-over `_merge_range`) is its oracle, and it also serves the partitioned route
-and the merge-comparison counts. Hash-based variants and a cubic brute-force
-oracle are kept alongside as cross-checks. All routines agree on per-vertex
-counts, the global count, and the triangle-neighbor relation.
+over `_merge_counts`) is its oracle, and it also serves the PRAM route of
+:mod:`tricent.parallel` and the merge-comparison counts. Hash-based variants
+and a cubic brute-force oracle are kept alongside as cross-checks. All
+routines agree on per-vertex counts, the global count, and the
+triangle-neighbor relation.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,26 +90,21 @@ def _prefix_lists(adj):
     return [flat[a:b] for a, b in zip(poff, poff[1:])]
 
 
-def _merge_range(prefixes, poff, lo, hi, counts):
-    """Merge-intersect the packed prefix entries [lo, hi) into ``counts``.
+def _merge_counts(prefixes, poff, counts):
+    """Merge-intersect every packed prefix entry, in order, into ``counts``.
 
     ``prefixes`` and ``poff`` are an OrderedAdjacency's prefixes and
     ``prefix_offsets`` as Python lists (plain ints index faster than numpy
-    scalars). Entry e of the packed index space is the prefix edge (v, u) with
-    ``poff[v] <= e < poff[v + 1]``, and ``counts`` is a list with one slot per
-    entry: each triangle found adds 1 at its three edges. Returns the number
-    of merge comparisons, so consecutive ranges over the same list add up to
-    one pass over [0, m).
+    scalars). Entry ``poff[v] + i`` is the prefix edge (v, prefixes[v][i]),
+    and ``counts`` is a list with one slot per entry: each triangle found adds
+    1 at its three edges. One pass in one thread; returns the number of merge
+    comparisons.
     """
     comparisons = 0
-    v = bisect_right(poff, lo) - 1
-    e = lo
-    while e < hi:
-        pv = prefixes[v]
+    for v, pv in enumerate(prefixes):
         pl = len(pv)
         mark_v = poff[v]
-        row_end = min(hi, mark_v + pl)
-        for i in range(e - mark_v, row_end - mark_v):
+        for i in range(pl):
             u = pv[i]
             pu = prefixes[u]
             ul = len(pu)
@@ -129,8 +124,6 @@ def _merge_range(prefixes, poff, lo, hi, counts):
                     x += 1
                 else:
                     y += 1
-        e = row_end
-        v += 1
     return comparisons
 
 
@@ -148,7 +141,7 @@ def wedge_counts(adj):
     The wedge's packed key (lower * n + other) is looked up with
     ``searchsorted`` among the entries' keys ``v * n + u``, which are sorted,
     and each closed wedge adds 1 at its three entries. The result is the
-    int64 array of counts that ``_merge_range`` writes, entry for entry.
+    int64 array of counts that ``_merge_counts`` writes, entry for entry.
     Entries are taken in blocks of about ``_WEDGE_BLOCK`` wedges, so memory
     stays O(m) however many wedges the graph has.
     """
@@ -222,9 +215,8 @@ def triangle_neighbor(adj, tally=None, per_edge=True):
     global counts, the marks and (by default) the per-edge counts are derived
     from those counts.
     """
-    m = int(adj.prefix_offsets[-1])
-    counts = [0] * m
-    comparisons = _merge_range(_prefix_lists(adj), adj.prefix_offsets.tolist(), 0, m, counts)
+    counts = [0] * int(adj.prefix_offsets[-1])
+    comparisons = _merge_counts(_prefix_lists(adj), adj.prefix_offsets.tolist(), counts)
     stats, marks = _stats_and_marks(adj, counts, per_edge)
     if tally is not None:
         tally.merge_comparisons += comparisons

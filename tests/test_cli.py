@@ -122,6 +122,14 @@ def test_compare_table(capsys, karate_file):
     assert tops["DC"] == "34"
 
 
+def test_compare_rejects_k_below_one(capsys, karate_file):
+    for k in ("0", "-2"):
+        code, out, err = run(capsys, "compare", karate_file, "--k", k)
+        assert code == 1
+        assert out == ""
+        assert "k must be >= 1" in err
+
+
 def test_stats_flag(capsys, karate_file):
     code, _, err = run(capsys, "compute", karate_file, "--algo", "parallel", "--stats")
     assert code == 0 and "pair-tests" in err

@@ -226,8 +226,9 @@ def test_jaccard_value_range(small_random_suite):
 
 def test_jaccard_requires_k_vertices():
     r = _ranking([1.0, 0.5])
-    with pytest.raises(InputError):
-        top_k_jaccard(r, r, 10)
+    for k in (10, 0, -2):
+        with pytest.raises(InputError):
+            top_k_jaccard(r, r, k)
 
 
 def test_agreement_dot_matrix_rows():

@@ -48,14 +48,14 @@ def test_counters_equal_one_merge_pass(small_random_suite, widest_random_graphs)
             assert counters.triangles == tally.triangles
 
 
-def test_chunking_granularity_does_not_change_results():
-    g = load_fixture("dolphins")
-    ref = triangle_centrality(g)
-    for chunk in (1, 7, 1000):
-        cv, _ = parallel_triangle_centrality(g, ParallelConfig(workers=3, chunk=chunk))
-        assert np.array_equal(cv.scores, ref.scores)
-    with pytest.raises(InputError):
-        parallel_triangle_centrality(g, ParallelConfig(chunk=-1))
+def test_pair_tests_count_prefix_pairs(small_random_suite):
+    fixtures = [load_fixture(n) for n in ("borgatti", "karate", "dolphins", "hijackers")]
+    for g in fixtures + small_random_suite:
+        lengths = build_abbreviated_adjacency(g, degree_order(g)).prefix_len.tolist()
+        expected = sum(p * (p - 1) // 2 for p in lengths)
+        for workers in (1, 3):
+            _, counters = parallel_triangle_centrality(g, ParallelConfig(workers=workers))
+            assert counters.pair_tests == expected
 
 
 def test_empty_graph_counters_zero():

@@ -10,9 +10,9 @@ from tricent.centrality import tc_from_triangles, triangle_centrality
 from tricent.errors import InputError
 from tricent.generators import book_with_satellite, clique, load_fixture
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
-from tricent.triangle import (MergeTally, _merge_range, _prefix_lists,
-                              _stats_and_marks, brute_force_triangles,
-                              dump_neighborhood, edge_count_arrays,
+from tricent.triangle import (MergeTally, _merge_counts, _prefix_lists,
+                              brute_force_triangles, dump_neighborhood,
+                              edge_count_arrays,
                               hash_intersection_tri_neighbors,
                               hash_neighbor_pair_count,
                               hash_neighbor_pair_tri_neighbors,
@@ -114,25 +114,6 @@ def test_merge_comparisons_bound(small_random_suite):
         assert tally.merge_comparisons <= 2 * g.m * math.sqrt(2 * g.m)
 
 
-def test_kernel_ranges_add_up_to_one_pass():
-    adj = ordered(load_fixture("dolphins"))
-    tally = MergeTally()
-    ref, ref_marks = triangle_neighbor(adj, tally=tally, per_edge=True)
-    rows = _prefix_lists(adj), adj.prefix_offsets.tolist()
-    m = int(adj.prefix_offsets[-1])
-    for k in range(m + 1):
-        counts = [0] * m
-        c1 = _merge_range(*rows, 0, k, counts)
-        c2 = _merge_range(*rows, k, m, counts)
-        assert c1 + c2 == tally.merge_comparisons
-        assert counts == ref.per_edge.tolist()
-        stats, marks = _stats_and_marks(adj, counts, per_edge=True)
-        assert stats.total == ref.total
-        assert np.array_equal(stats.per_vertex, ref.per_vertex)
-        assert np.array_equal(marks.bits, ref_marks.bits)
-        assert np.array_equal(stats.per_edge, ref.per_edge)
-
-
 def test_per_edge_counts_align_with_marks(small_random_suite):
     fixtures = [load_fixture(n) for n in ("borgatti", "karate", "dolphins", "hijackers")]
     for g in small_random_suite + fixtures:
@@ -168,9 +149,8 @@ def test_per_edge_counts_are_common_neighbor_sizes(small_random_suite):
 
 def merge_counts(adj):
     """Per-entry triangle counts from one pass of the merge kernel."""
-    m = int(adj.prefix_offsets[-1])
-    counts = [0] * m
-    _merge_range(_prefix_lists(adj), adj.prefix_offsets.tolist(), 0, m, counts)
+    counts = [0] * int(adj.prefix_offsets[-1])
+    _merge_counts(_prefix_lists(adj), adj.prefix_offsets.tolist(), counts)
     return counts
 
 
