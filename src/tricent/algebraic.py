@@ -4,9 +4,10 @@ T holds per-edge triangle counts on the adjacency pattern (the elementwise
 product of the squared adjacency matrix with itself). It is built here from
 the per-edge counts of the blocked wedge-check kernel
 (`tricent.triangle.wedge_counts`) rather than by matrix multiplication,
-which is both faster and exact in int64; the score vector is
-(3A - 2*binarize(T) + I) @ (T @ 1) over the grand total, with the final
-division as the only float step.
+which is both faster and exact in int64. With y = T @ 1, the score vector is
+(3A - 2*binarize(T) + I) @ y over the grand total, evaluated as the int64
+vector 3*(A @ y) - 2*(binarize(T) @ y) + y, so no sparse sum is built; the
+final division is the only float step.
 scipy is imported inside the functions that use it, so importing the package
 (and every route but this one) does not pay for loading scipy.
 """
@@ -48,16 +49,16 @@ def tc_algebraic(A, T):
     n = A.shape[0]
     if T.shape != A.shape:
         raise InputError("A and T shapes differ")
-    T_bin = T.copy()
-    T_bin.data = np.ones_like(T_bin.data)
-    X = (3 * A - 2 * T_bin + sp.identity(n, dtype=np.int64, format="csr")).tocsr()
-    ones = np.ones(n, dtype=np.int64)
-    y = T @ ones
-    k = int(ones @ y)
+    T = T.tocsr()
+    y = T @ np.ones(n, dtype=np.int64)
+    k = int(y.sum())
     if k == 0:
         return CentralityVector(scores=np.zeros(n), method="algebraic", tri_total=0,
                                 triangle_free=True)
-    scores = (X @ y).astype(np.float64) / float(k)
+    # binarize(T) shares T's pattern, with ones for its entries
+    T_bin = sp.csr_matrix((np.ones_like(T.data), T.indices, T.indptr), shape=T.shape)
+    x = 3 * (A @ y) - 2 * (T_bin @ y) + y
+    scores = x.astype(np.float64) / float(k)
     return CentralityVector(scores=scores, method="algebraic", tri_total=k // 6)
 
 

@@ -2,12 +2,14 @@
 
 Subcommands: compute, compare, mapreduce, gen, bench. Scores stream to stdout
 as `label<TAB>score` sorted by rank (ties by label); stats go to stderr.
-Exit codes: 0 ok, 1 usage, 2 I/O, 3 internal consistency.
+Exit codes: 0 ok, 1 usage, 2 I/O (silent when stdout is a pipe closed early),
+3 internal consistency.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -208,7 +210,14 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (`tc ... | head`): end quietly, and point
+        # stdout at devnull so the flush at interpreter exit has a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return IO_EXIT
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT

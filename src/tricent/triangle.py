@@ -7,13 +7,16 @@ triangle-neighbor marks are derived from those per-edge counts. The
 production path is the vectorized wedge check (`wedge_counts`), run in
 blocks of bounded size. The pure-Python merge intersection (`triangle_neighbor`,
 over `_merge_counts`) is its oracle, and it also serves the PRAM route of
-:mod:`tricent.parallel` and the merge-comparison counts. Hash-based variants
-and a cubic brute-force oracle are kept alongside as cross-checks. All
-routines agree on per-vertex counts, the global count, and the
-triangle-neighbor relation.
+:mod:`tricent.parallel` and the merge-comparison counts. The hash-based
+prefix-pair scan behind the basic route tests the same wedges once each,
+in pure Python, against a dict of the edges. A two-orientation variant, a
+set-intersection variant and a cubic brute-force oracle are kept alongside
+as cross-checks. All routines agree on per-vertex counts, the global count,
+and the triangle-neighbor relation.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -295,63 +298,67 @@ def triangle_neighbor_alt(adj):
     return stats, TriangleNeighborhood(lists)
 
 
-def _edge_set(g):
-    return set(g.edges())
+def _hash_pair_scan(adj):
+    """Test each pair of entries of one prefix once against a hash table of
+    the edges.
 
-
-def hash_neighbor_pair_count(g, adj):
-    """Count triangles from unique higher-ordered neighbor pairs per vertex."""
-    edges = _edge_set(g)
+    Every edge is one packed prefix entry; the table maps its key
+    ``min * n + max`` to the entry's index. Prefixes ascend by id, so the
+    entries u, w (i < j) of v's prefix give the key ``u * n + w`` directly, and
+    a hit is one triangle, found once from v. It adds 1 at v, u, w and the
+    total and marks all three entries. Σ p(p-1)/2 lookups in all, for prefix
+    lengths p. Returns the stats and an iterator over the marked entries
+    ``(v, u)``.
+    """
     n = adj.n
-    tri = np.zeros(n, dtype=np.int64)
+    higher = _packed_prefixes(adj)
+    lower = np.repeat(np.arange(n, dtype=np.int64), adj.prefix_len)
+    keys = np.minimum(lower, higher) * n + np.maximum(lower, higher)
+    get = dict(zip(keys.tolist(), range(keys.shape[0]))).get
+    flat = higher.tolist()
+    poff = adj.prefix_offsets.tolist()
+    tri = [0] * n
+    marks = [False] * len(flat)
     total = 0
-    prefixes = _prefix_lists(adj)
     for v in range(n):
-        pv = prefixes[v]
-        for i in range(len(pv)):
-            u = pv[i]
-            for j in range(i + 1, len(pv)):
-                w = pv[j]
-                if ((u, w) if u < w else (w, u)) in edges:
+        end = poff[v + 1]
+        for i in range(poff[v], end - 1):
+            u = flat[i]
+            un = u * n
+            for j in range(i + 1, end):
+                w = flat[j]
+                e = get(un + w)
+                if e is not None:
                     tri[v] += 1
                     tri[u] += 1
                     tri[w] += 1
                     total += 1
-    return TriangleStats(per_vertex=tri, total=total)
+                    marks[i] = marks[j] = marks[e] = True
+    stats = TriangleStats(per_vertex=np.array(tri, dtype=np.int64), total=total)
+    return stats, compress(zip(lower.tolist(), flat), marks)
+
+
+def hash_neighbor_pair_count(g, adj):
+    """Triangle counts from the prefix-pair scan of
+    :func:`hash_neighbor_pair_tri_neighbors`, without the lists."""
+    return _hash_pair_scan(adj)[0]
 
 
 def hash_neighbor_pair_tri_neighbors(g, adj):
-    """Neighbor-pair scan with edge lookups: counts once per triangle via the
-    rank guard, pairs the endpoints of each triangle edge exactly once via the
-    per-edge flag."""
-    edges = _edge_set(g)
-    n = adj.n
-    rank = adj.rank
-    tri = np.zeros(n, dtype=np.int64)
-    total = 0
-    lists = [[] for _ in range(n)]
-    prefixes = _prefix_lists(adj)
-    for v in range(n):
-        row = adj.row(v).tolist()
-        for u in prefixes[v]:
-            flagged = False
-            for w in row:
-                if w == u:
-                    continue
-                key = (u, w) if u < w else (w, u)
-                if key in edges:
-                    if rank[u] < rank[w]:
-                        tri[v] += 1
-                        tri[u] += 1
-                        tri[w] += 1
-                        total += 1
-                    if not flagged:
-                        flagged = True
-                        lists[v].append(u)
-                        lists[u].append(v)
-    for rw in lists:
-        rw.sort()
-    return TriangleStats(per_vertex=tri, total=total), TriangleNeighborhood(lists)
+    """Hash-based detection: each pair of higher-ordered neighbors is looked up
+    once in a dict of the edges, and each triangle marks its three edges.
+
+    The symmetric sorted lists come from the marked entries in one O(m) pass.
+    ``g`` is not read: every edge of it is a prefix entry of ``adj``.
+    """
+    stats, marked = _hash_pair_scan(adj)
+    lists = [[] for _ in range(adj.n)]
+    for v, u in marked:
+        lists[v].append(u)
+        lists[u].append(v)
+    for row in lists:
+        row.sort()
+    return stats, TriangleNeighborhood(lists)
 
 
 def hash_intersection_tri_neighbors(adj):

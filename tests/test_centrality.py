@@ -67,10 +67,15 @@ def test_triangle_free_is_flagged_zero():
 
 def test_main_equals_basic(small_random_suite):
     fixtures = [load_fixture(n) for n in ("borgatti", "karate", "hijackers")]
-    for g in small_random_suite + fixtures:
+    ring, roles = clique_ring(p=800, k=13)  # n = 9600, at scale
+    for g in small_random_suite + fixtures + [ring]:
         a = triangle_centrality(g)
         b = triangle_centrality_basic(g)
-        assert np.max(np.abs(a.scores - b.scores), initial=0.0) <= 1e-12
+        assert np.array_equal(a.scores, b.scores)  # both fold the same exact integers
+    for role, labels in roles.items():
+        want = float(closed_form_tc("clique-ring", k=13, p=800, role=role))
+        got = b.scores[[ring.id_of(lab) for lab in labels]]
+        assert np.all(np.abs(got - want) <= 1e-12)
 
 
 def test_scores_bounded(small_random_suite):

@@ -212,18 +212,32 @@ def test_gen_fixture_matches_bundled(capsys):
     assert out.startswith("a b\n")
 
 
+def child_env():
+    """The environment for a child interpreter that imports this tricent."""
+    env = dict(os.environ)
+    src = str(Path(tricent.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def test_compute_main_route_does_not_load_scipy(karate_file):
     code = ("import sys, io, contextlib\n"
             "import tricent.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert tricent.cli.main(['compute', {karate_file!r}]) == 0\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
-    env = dict(os.environ)
-    src = str(Path(tricent.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_stdout_pipe_exits_two_quietly(karate_file):
+    proc = subprocess.Popen([sys.executable, "-m", "tricent.cli", "compare", karate_file],
+                            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # long before the child has imported tricent and written
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == b""
 
 
 def test_non_utf8_file_exits_two(capsys, tmp_path):
