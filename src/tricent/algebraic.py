@@ -21,14 +21,15 @@ from .triangle import _stats_and_marks, edge_count_arrays, wedge_counts
 
 
 def adjacency_matrix(g):
-    """CSR adjacency matrix with int64 unit entries and an empty diagonal."""
+    """CSR adjacency matrix with int64 unit entries and an empty diagonal.
+
+    The graph's offsets and neighbors are already a CSR pattern, rows sorted
+    and free of duplicates, so they are A's indptr and indices as they stand.
+    """
     import scipy.sparse as sp
 
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    A = sp.csr_matrix(
-        (np.ones(2 * g.m, dtype=np.int64), (rows, g.neighbors)), shape=(g.n, g.n)
-    )
-    return A
+    return sp.csr_matrix((np.ones(2 * g.m, dtype=np.int64), g.neighbors, g.offsets),
+                         shape=(g.n, g.n))
 
 
 def build_triangle_matrix(g):

@@ -13,6 +13,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .algebraic import triangle_centrality_algebraic
 from .centrality import triangle_centrality, triangle_centrality_basic
 from .compare import compute_all, rank_vertices, top_k_jaccard
@@ -71,13 +73,18 @@ def _build_parser():
 
 # one element of the JSON "scores" list, laid out as json.dumps(..., indent=2)
 # lays it out; vertex is already a quoted JSON string
-_JSON_ROW = '    {{\n      "vertex": {},\n      "score": {!r},\n      "rank": {}\n    }}'
+_JSON_ROW = '    {{\n      "vertex": {},\n      "score": {},\n      "rank": {}\n    }}'
 
 
 def _emit_scores(g, cv, fmt, out):
     ranking = rank_vertices(cv)
     labels = list(map(g.labels.__getitem__, ranking.order.tolist()))
-    scores = ranking.scores[ranking.order].astype(float).tolist()
+    # scores take few values: repr each distinct one (distinct in its bits,
+    # so -0.0 keeps its sign) and gather the strings back
+    bits, inverse = np.unique(ranking.scores[ranking.order].astype(float).view(np.int64),
+                              return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    scores = map(text.__getitem__, inverse.tolist())
     if fmt == "json":
         # the bytes of json.dumps(payload, indent=2), written row by row: with
         # an indent, json runs its pure-Python encoder, three times slower than C
@@ -90,7 +97,7 @@ def _emit_scores(g, cv, fmt, out):
                   f'  "triangle_free": {json.dumps(cv.triangle_free)},\n'
                   f'  "scores": {listing}\n}}\n')
     else:
-        out.write("".join(map("{}\t{!r}\n".format, labels, scores)))
+        out.write("".join(map("{}\t{}\n".format, labels, scores)))
 
 
 def _run_algo(g, algo, threads):

@@ -1,10 +1,15 @@
-"""Core graph representation and degree ordering.
+"""Core graph representation, edge-list ingest and degree ordering.
 
 Graphs are simple, undirected, and immutable after construction, stored in
 compressed adjacency form (offsets + neighbor array, each undirected edge in
 both directions). External labels may be ints or strings; internally vertices
 are dense 0-based ids assigned in sorted label order, so label order and
 internal id order always agree.
+
+Edge-list text is tokenized and coded in numpy over its UTF-8 bytes (see
+``_code_tokens``): Python creates one object per distinct label, not one per
+token. ``build_graph`` codes Python labels with a dict; both routes share the
+CSR step, ``_graph_from_ids``.
 """
 
 import re
@@ -70,48 +75,127 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-# An edge-list line is blank or holds exactly two tokens. Whitespace is
-# str.split()'s (the same set as \s), and lines end at "\n" only, as in a
-# file read with universal newlines. Possessive quantifiers keep the match
-# from storing a backtracking point per line. The pattern only screens the
-# text: when it fails, a walk over the lines finds the bad one.
-_LINE = r"[^\S\n]*+(?:\S++[^\S\n]++\S++[^\S\n]*+)?"
-_EDGE_LINES = re.compile(rf"(?:{_LINE}\n)*+{_LINE}")
+# str.split()'s ASCII whitespace is \t \n \v \f \r, \x1c-\x1f and the space.
+# Once any non-ASCII whitespace is replaced by a space, a byte of the UTF-8
+# text is in a token iff this table maps it to 1.
+_IN_TOKEN = bytes(0 if b in b"\t\n\v\f\r\x1c\x1d\x1e\x1f " else 1 for b in range(256))
 _COMMENT = re.compile(r"^[^\S\n]*+#.*", re.MULTILINE)
+_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
+# tokens longer than this many 8-byte words are coded in Python instead:
+# the key matrix holds that many words for every token
+_MAX_KEY_WORDS = 8
+# _KEEP[k, L] masks word k of a token of L bytes to the bytes of the token
+_KEEP = np.array([[(1 << 64) - (1 << (64 - 8 * min(max(length - 8 * k, 0), 8)))
+                   for length in range(8 * _MAX_KEY_WORDS + 1)]
+                  for k in range(_MAX_KEY_WORDS)], dtype=np.uint64)
 
 
-def _edge_tokens(text, source):
-    """Endpoint labels of an edge-list text, flat: ``[a1, b1, a2, b2, ...]``.
-
-    Comment lines (first non-blank character ``#``) and blank lines are
-    ignored. The labels are ints when ``int()`` accepts every token, and
-    strings otherwise.
-    """
-    if "#" in text:
-        text = _COMMENT.sub("", text)  # blanks each comment line, keeping line numbers
-    if _EDGE_LINES.fullmatch(text) is None:
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            tokens = line.split()
-            if tokens and len(tokens) != 2:
-                raise InputError(f"{source}:{lineno}: expected two tokens, "
-                                 f"got {len(tokens)}: {line.strip()!r}")
-    tokens = text.split()
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        return tokens
+def _raise_bad_line(text, source):
+    """Raise InputError for the first line that is neither blank nor two tokens."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = line.split()
+        if tokens and len(tokens) != 2:
+            raise InputError(f"{source}:{lineno}: expected two tokens, "
+                             f"got {len(tokens)}: {line.strip()!r}")
 
 
-def _graph_from_ends(ends):
-    """Graph from flat endpoint labels ``[a1, b1, a2, b2, ...]``."""
+def _code_labels(ends):
+    """Sorted distinct labels of ``ends`` and each end's index among them."""
     try:
         labels = sorted(set(ends))
     except TypeError as exc:
         raise InputError("edge labels must be mutually comparable "
                          "(all ints or all strings)") from exc
+    index = dict(zip(labels, range(len(labels))))
+    return labels, np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=len(ends))
+
+
+def _code_tokens(text, source):
+    """Sorted distinct tokens of an edge-list text and each token's index
+    among them, in text order.
+
+    Every per-token step runs in numpy over the UTF-8 bytes; Python sees
+    only the distinct tokens. A token is keyed by its bytes, read as
+    big-endian 8-byte words with the bytes past its end masked to zero,
+    plus its length when the text holds a NUL (without one, every zero
+    byte of a key is masking). UTF-8 byte order is code point order, so the keys sort
+    tokens as ``sorted()`` sorts strings. Tokens over ``8 * _MAX_KEY_WORDS``
+    bytes are coded in Python.
+    """
+    spaced = text if text.isascii() else _WIDE_SPACE.sub(" ", text)
+    # padded with spaces, so that every word read at a token start is in
+    # bounds and the byte after every token is whitespace
+    data = (spaced + " " * (8 * _MAX_KEY_WORDS)).encode("utf-8", "surrogatepass")
+    del spaced
+    # tokens start and end where the in-token flag flips, so the flips
+    # alternate start, end, start, end, ...
+    flag = np.frombuffer(b"\0" + data.translate(_IN_TOKEN), dtype=bool)
+    bounds = np.flatnonzero(flag[1:] != flag[:-1])
+    del flag
+    starts, ends = bounds[0::2], bounds[1::2]
+    # every non-blank line holds two tokens: pairs share a line, pairs do not
+    raw = np.frombuffer(data, dtype=np.uint8)
+    line = np.searchsorted(np.flatnonzero(raw == 10), starts)
+    if (line.shape[0] % 2 or (line[0::2] != line[1::2]).any()
+            or (line[2::2] == line[1:-1:2]).any()):
+        _raise_bad_line(text, source)
+    del line
+    if starts.shape[0] == 0:
+        return [], np.zeros(0, dtype=np.int64)
+    length = ends - starts
+    words = -(-int(length.max()) // 8)
+    if words > _MAX_KEY_WORDS:
+        return _code_labels(text.split())
+    big = np.ndarray((raw.shape[0] - 7,), dtype=">u8", buffer=data, strides=(1,))
+    keys = []
+    for k in range(words):
+        key = big[starts + 8 * k].astype(np.uint64)
+        key &= _KEEP[k, length]
+        keys.append(key)
+    if "\0" in text:
+        keys.append(length)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    first = np.zeros(order.shape[0], dtype=bool)  # first of a distinct token, sorted
+    first[0] = True
+    for key in keys:
+        key = key[order]
+        first[1:] |= key[1:] != key[:-1]
+    ids = np.empty(order.shape[0], dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    # the distinct tokens, each with the whitespace byte after it, in one decode:
+    # the byte index climbs by one inside a token and jumps to the next start
+    at = order[first]
+    size = length[at] + 1
+    step = np.ones(size.sum(), dtype=np.int64)
+    step[0] = starts[at[0]]
+    step[np.cumsum(size[:-1])] = starts[at[1:]] - ends[at[:-1]]
+    distinct = raw[np.cumsum(step)].tobytes().decode("utf-8", "surrogatepass")
+    return distinct.split(), ids
+
+
+def _code_text(text, source):
+    """Labels and endpoint ids of an edge-list text: ``(labels, ids)``, with
+    ``ids`` flat as ``[a1, b1, a2, b2, ...]``.
+
+    Comment lines (first non-blank character ``#``) and blank lines are
+    ignored. The labels are ints when ``int()`` accepts every token (tokens
+    of one value, such as ``007`` and ``7``, are one label), and strings
+    otherwise.
+    """
+    if "#" in text:
+        text = _COMMENT.sub("", text)  # blanks each comment line, keeping line numbers
+    distinct, ids = _code_tokens(text, source)
+    try:
+        values = list(map(int, distinct))
+    except ValueError:
+        return tuple(distinct), ids
+    labels, remap = _code_labels(values)
+    return tuple(labels), remap[ids]
+
+
+def _graph_from_ids(labels, ids):
+    """Graph from sorted distinct labels and flat endpoint ids."""
     n = len(labels)
-    index = dict(zip(labels, range(n)))
-    ids = np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=len(ends))
     a, b = ids[0::2], ids[1::2]
     loops = a == b
     a, b = a[~loops], b[~loops]
@@ -133,7 +217,7 @@ def build_graph(edge_list):
     labels are densely re-mapped preserving their sort order. An empty edge
     list yields the empty graph.
     """
-    return _graph_from_ends([x for a, b in edge_list for x in (a, b)])
+    return _graph_from_ids(*_code_labels([x for a, b in edge_list for x in (a, b)]))
 
 
 def parse_edge_list(lines, source="<input>"):
@@ -148,8 +232,9 @@ def parse_edge_list(lines, source="<input>"):
         text = lines.read()
     else:
         text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
-    ends = iter(_edge_tokens(text, source))
-    return list(zip(ends, ends))
+    labels, ids = _code_text(text, source)
+    ends = np.array(labels, dtype=object)[ids]
+    return list(zip(ends[0::2].tolist(), ends[1::2].tolist()))
 
 
 def _read_text(path_or_file):
@@ -180,7 +265,7 @@ def load_edge_list(path_or_file):
         text = _read_text(path_or_file)
     except UnicodeDecodeError as exc:
         raise OSError(f"{source}: not UTF-8 text: {exc}") from exc
-    return _graph_from_ends(_edge_tokens(text, source))
+    return _graph_from_ids(*_code_text(text, source))
 
 
 def dump_edge_list(g, file):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from tricent.cli import main
 from tricent.errors import InputError
 from tricent.generators import FIXTURES
-from tricent.graph import load_edge_list
+from tricent.graph import build_graph, load_edge_list, parse_edge_list
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "tricent" / "fixtures"
 
@@ -120,7 +120,16 @@ def reference_load(text, source="<stream>"):
 
 TOKENS = st.one_of(
     st.sampled_from(["007", "+3", "-2", "1_0", "2**70", str(2 ** 70), "-0", "\u0661\u0662",
-                     "#", "a#b", "#x", "x", "Ω", "1e3", "0x1f"]),
+                     "#", "a#b", "#x", "x", "Ω", "1e3", "0x1f",
+                     # 8, 9, 16 and 17 bytes, sharing their first 8
+                     "abcdefgh", "abcdefghi", "abcdefghABCDEFGH", "abcdefghABCDEFGHI",
+                     "12345678", "123456789", "1234567812345678", "12345678123456789",
+                     # a prefix of a token that differs from it only by a NUL
+                     "a", "a\x00", "x\x00y", "\x00",
+                     # two-, three- and four-byte UTF-8
+                     "é", "€", "𝔸",
+                     # string order is not numeric order
+                     "10", "9"]),
     st.integers(-5, 12).map(str),
 )
 SPACE = st.text(alphabet=[" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
@@ -128,14 +137,14 @@ SPACE = st.text(alphabet=[" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\x
 
 
 @st.composite
-def edge_lines(draw):
-    kind = draw(st.sampled_from(["edge", "edge", "edge", "blank", "comment", "bad"]))
+def edge_lines(draw, kinds=("edge", "edge", "edge", "blank", "comment", "bad")):
+    kind = draw(st.sampled_from(kinds))
     lead = draw(st.one_of(st.just(""), SPACE))
     if kind == "blank":
         return lead
     if kind == "comment":
         return lead + "#" + draw(st.text(alphabet="ab #1 \t", max_size=6))
-    count = 2 if kind == "edge" else draw(st.sampled_from([1, 3]))
+    count = 2 if kind == "edge" else draw(st.sampled_from([1, 3, 4]))
     parts = [draw(TOKENS) for _ in range(count)]
     body = parts[0]
     for tok in parts[1:]:
@@ -144,8 +153,8 @@ def edge_lines(draw):
 
 
 @st.composite
-def edge_texts(draw):
-    lines = draw(st.lists(edge_lines(), max_size=25))
+def edge_texts(draw, lines=edge_lines()):
+    lines = draw(st.lists(lines, max_size=25))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
@@ -153,16 +162,80 @@ def edge_texts(draw):
 @given(edge_texts())
 def test_load_edge_list_matches_per_line_reference(text):
     try:
-        expected = reference_load(text)
+        reference_load(text)
     except InputError as exc:
         with pytest.raises(InputError) as got:
             load_edge_list(io.StringIO(text))
         assert str(got.value) == str(exc)
         return
+    assert_loads_as_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_texts(edge_lines(kinds=("edge", "edge", "edge", "edge", "blank", "comment"))))
+def test_well_formed_text_loads_as_reference(text):
+    # most texts of the test above hold a bad line; these reach the coder
+    assert_loads_as_reference(text)
+
+
+def assert_loads_as_reference(text):
+    labels, offsets, neighbors = reference_load(text)
     g = load_edge_list(io.StringIO(text))
-    labels, offsets, neighbors = expected
     assert g.labels == labels
     assert [type(x) for x in g.labels] == [type(x) for x in labels]
     assert g.offsets.tolist() == offsets
     assert g.neighbors.tolist() == neighbors
     assert g.m * 2 == len(neighbors)
+
+
+def scale_text(kind, seed, lines=100_000):
+    """Seeded edge list of ``lines`` lines whose labels mix lengths of 1 to
+    24 bytes across the 8- and 16-byte word edges, many sharing a prefix."""
+    rng = random.Random(seed)
+    if kind == "strings":
+        stems = ["", "n", "node_", "vertex__", "vertex__vertex__", "été_", "𝔸"]
+        names = [f"{rng.choice(stems)}{rng.randrange(10 ** rng.randrange(1, 9))}"
+                 for _ in range(30_000)]
+    else:  # integers, some with leading zeros, a sign or many digits
+        names = [rng.choice(["{}", "0{}", "+{}", "-{}", "{}000000000000000"]).format(
+                 rng.randrange(10 ** rng.randrange(1, 6))) for _ in range(30_000)]
+    seps = [" ", "\t", "  "]
+    return "".join(f"{rng.choice(names)}{rng.choice(seps)}{rng.choice(names)}\n"
+                   for _ in range(lines))
+
+
+@pytest.mark.parametrize("kind", ["strings", "integers"])
+def test_load_edge_list_matches_reference_at_scale(kind):
+    assert_loads_as_reference(scale_text(kind, seed=13))
+
+
+def test_nul_ties_are_broken_by_length():
+    # "a" and "a\x00" read as the same zero-padded word
+    assert_loads_as_reference("a a\x00\na\x00 \x00\n\x00\x00 b\nb a\n")
+    assert_loads_as_reference("abcdefgh abcdefgh\x00\nabcdefgh\x00\x00 abcdefgh\n")
+
+
+def test_tokens_longer_than_the_key_words_match_reference():
+    # past 64 bytes the tokens are coded in Python; they still sort and
+    # merge as the short ones do, and bad lines are still found
+    rng = random.Random(14)
+    names = ["short"] + ["L" * length + tail for length in range(60, 71)
+                         for tail in ["", "a", "b", "\x00", "é"]]
+    text = "".join(f"{rng.choice(names)} {rng.choice(names)}\n" for _ in range(100))
+    assert_loads_as_reference(text)
+    numbers = ["0" * 70 + "7", "7", str(10 ** 70), "-3", "12", "8", "0" * 64 + "12"]
+    assert_loads_as_reference("".join(f"{rng.choice(numbers)} {rng.choice(numbers)}\n"
+                                      for _ in range(12)))
+    with pytest.raises(InputError, match=r"^<stream>:101: expected two tokens, got 3"):
+        load_edge_list(io.StringIO(text + "short short x\n"))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + sorted(GENERATED))
+def test_build_of_parsed_pairs_equals_load(tmp_path, name):
+    path = input_path(name, tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        built = build_graph(parse_edge_list(fh))
+    loaded = load_edge_list(path)
+    assert built.labels == loaded.labels
+    assert built.offsets.tolist() == loaded.offsets.tolist()
+    assert built.neighbors.tolist() == loaded.neighbors.tolist()
