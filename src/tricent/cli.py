@@ -190,7 +190,7 @@ def _cmd_bench(args):
     for path in args.paths:
         try:
             g = load_edge_list(path)
-        except OSError as exc:
+        except (OSError, InputError) as exc:
             sys.stderr.write(f"warning: skipping {path}: {exc}\n")
             continue
         for algo in algos:

@@ -1,22 +1,23 @@
 """Triangle counting and triangle-neighborhood identification.
 
-Both production kernels find every triangle exactly once, from its
-lowest-ordered vertex, inside the sorted abbreviated adjacency prefixes, and
-count it on its three edges; per-vertex and global counts and the
-triangle-neighbor marks are derived from those per-edge counts. The
-production path is the vectorized wedge check (`wedge_counts`), run in
-blocks of bounded size. The pure-Python merge intersection (`triangle_neighbor`,
-over `_merge_counts`) is its oracle, and it also serves the PRAM route of
-:mod:`tricent.parallel` and the merge-comparison counts. The hash-based
-prefix-pair scan behind the basic route tests the same wedges once each,
-in pure Python, against a dict of the edges. A two-orientation variant, a
-set-intersection variant and a cubic brute-force oracle are kept alongside
-as cross-checks. All routines agree on per-vertex counts, the global count,
-and the triangle-neighbor relation.
+The kernels find every triangle exactly once, from its lowest-ordered
+vertex, inside the sorted abbreviated adjacency prefixes, and count it on its
+three edges; per-vertex and global counts and the triangle-neighbor marks are
+derived from those per-edge counts. The production path is the vectorized
+wedge check (`wedge_counts`): numpy looks up the closing edge of every pair
+of entries of one prefix with `searchsorted` among the sorted entry keys.
+The basic route's kernel (`_hash_counts`) tests the same pairs against a hash
+table of the edges built in numpy. Both take the pairs from one blocked
+enumeration (`_prefix_pairs`), so their memory stays O(m). The pure-Python
+merge intersection (`triangle_neighbor`, over `_merge_counts`) is their
+oracle, and it also serves the PRAM route of :mod:`tricent.parallel` and the
+merge-comparison counts. A two-orientation variant, a set-intersection
+variant and a cubic brute-force oracle are kept alongside as cross-checks.
+All routines agree on per-vertex counts, the global count, and the
+triangle-neighbor relation.
 """
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -130,34 +131,28 @@ def _merge_counts(prefixes, poff, counts):
     return comparisons
 
 
-# Wedges checked per block by wedge_counts. A block's index arrays are the
-# kernel's only memory beyond its few length-m arrays; on clique(260), blocks
+# Entry pairs per block of _prefix_pairs. A block's index arrays are the
+# kernels' only memory beyond their few length-m arrays; on clique(260), blocks
 # four times as large took longer and traced three times the peak memory.
 _WEDGE_BLOCK = 1 << 14
 
 
-def wedge_counts(adj):
-    """Per-entry triangle counts by checking the wedges inside each prefix.
+def _prefix_pairs(adj):
+    """Every pair of entries (i < j) of one prefix, once each, in blocks.
 
-    Two entries (v, a), (v, b) of one prefix form a wedge, closed iff {a, b}
-    is an edge, which the lower-ordered of a and b holds as a prefix entry.
-    The wedge's packed key (lower * n + other) is looked up with
-    ``searchsorted`` among the entries' keys ``v * n + u``, which are sorted,
-    and each closed wedge adds 1 at its three entries. The result is the
-    int64 array of counts that ``_merge_counts`` writes, entry for entry.
-    Entries are taken in blocks of about ``_WEDGE_BLOCK`` wedges, so memory
-    stays O(m) however many wedges the graph has.
+    Yields ``(first, second)`` arrays of packed entry indices, about
+    ``_WEDGE_BLOCK`` pairs per block (a block holds whole entries, so one
+    entry that opens more pairs makes a larger one), Σ p(p-1)/2 pairs in all
+    for prefix lengths p. Entry i of v's prefix pairs with every later entry
+    of that prefix, so ``first`` ascends and ``second`` ascends within each
+    run of equal ``first``.
     """
-    n, poff = adj.n, adj.prefix_offsets
+    poff = adj.prefix_offsets
     m = int(poff[-1])
-    counts = np.zeros(m, dtype=np.int64)
     if m == 0:
-        return counts
-    higher = _packed_prefixes(adj)
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, adj.prefix_len)
-    keys += higher
-    # entry e opens one wedge with each later entry of its row; a block ends
-    # where the running wedge count passes a multiple of the block size
+        return
+    # entry e opens one pair with each later entry of its row; a block ends
+    # where the running pair count passes a multiple of the block size
     running = np.repeat(poff[1:], adj.prefix_len)
     running -= np.arange(1, m + 1)
     np.cumsum(running, out=running)
@@ -172,6 +167,30 @@ def wedge_counts(adj):
         # second runs over the entries after first in its row
         second = np.repeat(e + 1 + w - np.cumsum(w), w)
         second += np.arange(second.shape[0])
+        yield first, second
+        lo = hi
+
+
+def wedge_counts(adj):
+    """Per-entry triangle counts by checking the wedges inside each prefix.
+
+    Two entries (v, a), (v, b) of one prefix form a wedge, closed iff {a, b}
+    is an edge, which the lower-ordered of a and b holds as a prefix entry.
+    The wedge's packed key (lower * n + other) is looked up with
+    ``searchsorted`` among the entries' keys ``v * n + u``, which are sorted,
+    and each closed wedge adds 1 at its three entries. The result is the
+    int64 array of counts that ``_merge_counts`` writes, entry for entry.
+    The wedges come from :func:`_prefix_pairs` in blocks, so memory stays
+    O(m) however many wedges the graph has.
+    """
+    n, m = adj.n, int(adj.prefix_offsets[-1])
+    counts = np.zeros(m, dtype=np.int64)
+    if m == 0:
+        return counts
+    higher = _packed_prefixes(adj)
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, adj.prefix_len)
+    keys += higher
+    for first, second in _prefix_pairs(adj):
         a, b = higher[first], higher[second]
         key = np.where(adj.rank[a] < adj.rank[b], a * n + b, b * n + a)
         # sorted needles make searchsorted's probes walk the keys in order
@@ -184,7 +203,88 @@ def wedge_counts(adj):
         np.add.at(counts, first[closed], 1)
         np.add.at(counts, second[closed], 1)
         np.add.at(counts, at[hit], 1)
-        lo = hi
+    return counts
+
+
+# Fibonacci hashing: a key's bucket is the top bits of key * ⌊2^64 / φ⌋ mod 2^64
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _hash_buckets(keys, shift):
+    """Bucket of each non-negative int64 key: the top ``64 - shift`` bits of
+    its multiplicative hash."""
+    return ((keys.astype(np.uint64) * _HASH_MULTIPLIER) >> shift).astype(np.intp)
+
+
+def _hash_table(keys):
+    """Hash table of distinct non-negative int64 keys, as arrays.
+
+    Buckets are the top b bits of each key's hash, with ``2^b`` > the number
+    of keys. The table is the keys grouped by bucket (one ``argsort`` of the
+    bucket ids), with each bucket's start offset. Returns ``(shift, starts,
+    table_keys, order)``: bucket h holds ``table_keys[starts[h]:starts[h +
+    1]]``, and ``order`` maps a table slot back to the key's index.
+    """
+    b = keys.shape[0].bit_length()
+    shift = np.uint64(64 - b)
+    bucket = _hash_buckets(keys, shift)
+    # the keys are distinct, so their order inside a bucket changes no
+    # lookup; a stable sort took six times as long on 10^5 keys
+    order = np.argsort(bucket)
+    starts = np.zeros((1 << b) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(bucket, minlength=1 << b), out=starts[1:])
+    return shift, starts, keys[order], order
+
+
+def _hash_find(table, needles):
+    """Index of each needle among the table's keys, or -1 where it is absent.
+
+    Each needle walks its bucket's chain; the still-unresolved needles take
+    one step together per round, so a probe takes as many rounds as the
+    longest chain it meets.
+    """
+    shift, starts, table_keys, order = table
+    found = np.full(needles.shape[0], -1, dtype=np.int64)
+    h = _hash_buckets(needles, shift)
+    at, end = starts[h], starts[h + 1]
+    live = np.flatnonzero(at < end)
+    at, end = at[live], end[live]
+    while live.shape[0]:
+        hit = table_keys[at] == needles[live]
+        found[live[hit]] = order[at[hit]]
+        at += 1
+        # keys are distinct, so a hit ends the needle's walk
+        go = ~hit & (at < end)
+        live, at, end = live[go], at[go], end[go]
+    return found
+
+
+def _hash_counts(adj):
+    """Per-entry triangle counts by testing each prefix pair once in a hash
+    table of the edges.
+
+    Every edge is one packed prefix entry, keyed ``min * n + max`` in
+    :func:`_hash_table`. Prefixes ascend by id, so entries u < w of v's
+    prefix give the key ``u * n + w`` of their closing edge directly. A hit
+    is one triangle, found once from v, and adds 1 at its three entries:
+    Σ p(p-1)/2 probes in all, for prefix lengths p, taken in the blocks of
+    :func:`_prefix_pairs`. The result is the int64 array of counts that
+    ``wedge_counts`` and ``_merge_counts`` give, entry for entry.
+    """
+    n, m = adj.n, int(adj.prefix_offsets[-1])
+    counts = np.zeros(m, dtype=np.int64)
+    if m == 0:
+        return counts
+    higher = _packed_prefixes(adj)
+    lower = np.repeat(np.arange(n, dtype=np.int64), adj.prefix_len)
+    table = _hash_table(np.minimum(lower, higher) * n + np.maximum(lower, higher))
+    del lower
+    for first, second in _prefix_pairs(adj):
+        e = _hash_find(table, higher[first] * n + higher[second])
+        hit = e >= 0
+        np.add.at(counts, first[hit], 1)
+        np.add.at(counts, second[hit], 1)
+        np.add.at(counts, e[hit], 1)
     return counts
 
 
@@ -237,7 +337,7 @@ def marked_pairs(adj, marks):
 def materialize_triangle_neighbors(adj, marks):
     """Expand marks into explicit symmetric neighbor lists."""
     src, dst = marked_pairs(adj, marks)
-    flat = dst[np.lexsort((dst, src))].tolist()
+    flat = dst[np.argsort(src * adj.n + dst)].tolist()
     ends = np.cumsum(np.bincount(src, minlength=adj.n)).tolist()
     return TriangleNeighborhood([flat[a:b] for a, b in zip([0] + ends, ends)])
 
@@ -298,67 +398,22 @@ def triangle_neighbor_alt(adj):
     return stats, TriangleNeighborhood(lists)
 
 
-def _hash_pair_scan(adj):
-    """Test each pair of entries of one prefix once against a hash table of
-    the edges.
-
-    Every edge is one packed prefix entry; the table maps its key
-    ``min * n + max`` to the entry's index. Prefixes ascend by id, so the
-    entries u, w (i < j) of v's prefix give the key ``u * n + w`` directly, and
-    a hit is one triangle, found once from v. It adds 1 at v, u, w and the
-    total and marks all three entries. Σ p(p-1)/2 lookups in all, for prefix
-    lengths p. Returns the stats and an iterator over the marked entries
-    ``(v, u)``.
-    """
-    n = adj.n
-    higher = _packed_prefixes(adj)
-    lower = np.repeat(np.arange(n, dtype=np.int64), adj.prefix_len)
-    keys = np.minimum(lower, higher) * n + np.maximum(lower, higher)
-    get = dict(zip(keys.tolist(), range(keys.shape[0]))).get
-    flat = higher.tolist()
-    poff = adj.prefix_offsets.tolist()
-    tri = [0] * n
-    marks = [False] * len(flat)
-    total = 0
-    for v in range(n):
-        end = poff[v + 1]
-        for i in range(poff[v], end - 1):
-            u = flat[i]
-            un = u * n
-            for j in range(i + 1, end):
-                w = flat[j]
-                e = get(un + w)
-                if e is not None:
-                    tri[v] += 1
-                    tri[u] += 1
-                    tri[w] += 1
-                    total += 1
-                    marks[i] = marks[j] = marks[e] = True
-    stats = TriangleStats(per_vertex=np.array(tri, dtype=np.int64), total=total)
-    return stats, compress(zip(lower.tolist(), flat), marks)
-
-
 def hash_neighbor_pair_count(g, adj):
-    """Triangle counts from the prefix-pair scan of
+    """Triangle counts from the hash-based prefix-pair test of
     :func:`hash_neighbor_pair_tri_neighbors`, without the lists."""
-    return _hash_pair_scan(adj)[0]
+    return _stats_and_marks(adj, _hash_counts(adj), per_edge=False)[0]
 
 
 def hash_neighbor_pair_tri_neighbors(g, adj):
     """Hash-based detection: each pair of higher-ordered neighbors is looked up
-    once in a dict of the edges, and each triangle marks its three edges.
+    once in a hash table of the edges, and each triangle counts on its three
+    edges (:func:`_hash_counts`).
 
-    The symmetric sorted lists come from the marked entries in one O(m) pass.
-    ``g`` is not read: every edge of it is a prefix entry of ``adj``.
+    The symmetric sorted lists come from the marked entries. ``g`` is not
+    read: every edge of it is a prefix entry of ``adj``.
     """
-    stats, marked = _hash_pair_scan(adj)
-    lists = [[] for _ in range(adj.n)]
-    for v, u in marked:
-        lists[v].append(u)
-        lists[u].append(v)
-    for row in lists:
-        row.sort()
-    return stats, TriangleNeighborhood(lists)
+    stats, marks = _stats_and_marks(adj, _hash_counts(adj), per_edge=False)
+    return stats, materialize_triangle_neighbors(adj, marks)
 
 
 def hash_intersection_tri_neighbors(adj):

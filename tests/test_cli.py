@@ -193,6 +193,16 @@ def test_bench_skips_missing_and_reports(capsys, karate_file):
     assert all(row[4] == "45" for row in rows)
 
 
+def test_bench_skips_malformed_file(capsys, tmp_path, karate_file):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 2\n3\n")
+    code, out, err = run(capsys, "bench", str(bad), karate_file)
+    assert code == 0
+    assert f"warning: skipping {bad}: " in err and ":2:" in err
+    rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == [karate_file] and rows[0][4] == "45"
+
+
 @pytest.mark.parametrize("family", sorted(GEN_FAMILIES))
 def test_every_family_round_trips_through_compute(capsys, tmp_path, family):
     code, out, _ = run(capsys, "gen", family)

@@ -10,7 +10,8 @@ from tricent.centrality import tc_from_triangles, triangle_centrality
 from tricent.errors import InputError
 from tricent.generators import book_with_satellite, clique, load_fixture
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
-from tricent.triangle import (MergeTally, _merge_counts, _prefix_lists,
+from tricent.triangle import (MergeTally, _hash_buckets, _hash_counts, _hash_find,
+                              _hash_table, _merge_counts, _prefix_lists, _prefix_pairs,
                               brute_force_triangles, dump_neighborhood,
                               edge_count_arrays,
                               hash_intersection_tri_neighbors,
@@ -166,11 +167,12 @@ def test_wedge_counts_equal_merge_counts(small_random_suite, random_suite_500):
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_wedge_counts_do_not_depend_on_the_blocks(monkeypatch, small_random_suite, block):
     # block 1 puts one entry per block, however many wedges it opens, and
-    # small blocks end inside rows
+    # small blocks end inside rows; the hash kernel takes the same blocks
     graphs = [load_fixture(name) for name in FIXTURE_NAMES] + small_random_suite
     want = [wedge_counts(ordered(g)).tolist() for g in graphs]
     monkeypatch.setattr(triangle, "_WEDGE_BLOCK", block)
     assert [wedge_counts(ordered(g)).tolist() for g in graphs] == want
+    assert [_hash_counts(ordered(g)).tolist() for g in graphs] == want
 
 
 def test_triangle_centrality_scores_equal_the_merge_route(small_random_suite,
@@ -186,14 +188,77 @@ def test_triangle_centrality_scores_equal_the_merge_route(small_random_suite,
 def test_wedge_counts_memory_is_bounded():
     g, _ = clique(260)  # 2.9e6 wedges: unblocked, their index arrays need > 150 MB
     adj = ordered(g)
-    tracemalloc.start()
-    try:
-        counts = wedge_counts(adj)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.all(counts == 258)  # every edge of K_k lies in k - 2 triangles
-    assert peak < 8 * 2**20
+    for kernel in (wedge_counts, _hash_counts):
+        tracemalloc.start()
+        try:
+            counts = kernel(adj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(counts == 258)  # every edge of K_k lies in k - 2 triangles
+        assert peak < 8 * 2**20
+
+
+def test_prefix_pairs_yield_each_pair_of_one_prefix_once(small_random_suite):
+    fixtures = [load_fixture(name) for name in FIXTURE_NAMES]
+    for g in fixtures + small_random_suite + [clique(260)[0]]:
+        adj = ordered(g)
+        poff, plen = adj.prefix_offsets, adj.prefix_len
+        blocks = list(_prefix_pairs(adj))
+        first = np.concatenate([f for f, _ in blocks] + [np.zeros(0, np.int64)])
+        second = np.concatenate([s for _, s in blocks] + [np.zeros(0, np.int64)])
+        # i < j inside one prefix, no pair twice, and as many pairs as there
+        # are: so every pair exactly once
+        row = np.searchsorted(poff, first, side="right") - 1
+        assert np.all(first < second) and np.all(second < poff[row + 1])
+        assert np.unique(first * int(poff[-1]) + second).shape[0] == first.shape[0]
+        assert first.shape[0] == int((plen * (plen - 1) // 2).sum())
+        if g.n == 260:
+            assert len(blocks) > 100  # 2.9e6 pairs in blocks of 2^14
+
+
+def star(k):
+    return build_graph([(0, i) for i in range(1, k + 1)])
+
+
+def test_hash_counts_equal_wedge_and_merge_counts(small_random_suite):
+    fixtures = [load_fixture(name) for name in FIXTURE_NAMES]
+    small = [build_graph([]), build_graph([(1, 2)]), star(6), k_n(3), k_n(4)]
+    for g in fixtures + small_random_suite + small:
+        adj = ordered(g)
+        counts = _hash_counts(adj)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == wedge_counts(adj).tolist() == merge_counts(adj)
+    # the merge kernel takes seconds on K_260, whose closed form (258 on every
+    # edge) both kernels meet in test_wedge_counts_memory_is_bounded
+
+
+def test_hash_find_walks_shared_buckets():
+    # twelve keys that share one bucket under the module's hash, among 64
+    size = 64
+    shift = np.uint64(64 - size.bit_length())
+    cands = np.arange(20_000, dtype=np.int64)
+    buckets = _hash_buckets(cands, shift)
+    shared = cands[buckets == buckets[0]]
+    assert shared.shape[0] >= 14
+    rest = cands[buckets != buckets[0]][:size - 12]
+    keys = np.concatenate((shared[:12], rest))[::-1].copy()
+    table = _hash_table(keys)
+    assert np.diff(table[1]).max() == 12
+    # every key is found at its index, wherever it sits in its chain
+    assert _hash_find(table, keys).tolist() == list(range(size))
+    # absent keys in the long chain's bucket walk it to its end; keys in
+    # other buckets that hold no key stop at once
+    absent = np.setdiff1d(cands, keys)
+    assert _hash_find(table, shared[12:]).tolist() == [-1] * (shared.shape[0] - 12)
+    assert np.all(_hash_find(table, absent) == -1)
+
+
+def test_hash_counts_with_every_key_in_one_bucket(monkeypatch, small_random_suite):
+    graphs = [load_fixture(name) for name in FIXTURE_NAMES] + small_random_suite[:10]
+    want = [wedge_counts(ordered(g)).tolist() for g in graphs]
+    monkeypatch.setattr(triangle, "_HASH_MULTIPLIER", np.uint64(0))
+    assert [_hash_counts(ordered(g)).tolist() for g in graphs] == want
 
 
 def test_hash_pair_neighbors_on_triangle_free_tree():
