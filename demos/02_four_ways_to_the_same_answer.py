@@ -5,28 +5,26 @@ main      vectorized wedge checks inside sorted higher-ordered adjacency
 basic     hash-set edge lookups over neighbor pairs
 algebraic sparse matrices: (3A - 2*binarize(T) + I) @ (T @ 1) / sum(T)
 parallel  the PRAM route: one pass of the merge-intersection kernel, in one
-          thread, plus its work counters, then the same fold; the worker
-          count is checked but changes no work (the kernel holds the GIL)
+          thread, plus its work counters, then the same fold
 """
 
 import numpy as np
 
-from tricent import (ParallelConfig, load_fixture, parallel_triangle_centrality,
-                     run_mapreduce_tc, triangle_centrality,
-                     triangle_centrality_algebraic, triangle_centrality_basic,
-                     work_report)
+from tricent import (load_fixture, parallel_triangle_centrality, run_mapreduce_tc,
+                     triangle_centrality, triangle_centrality_algebraic,
+                     triangle_centrality_basic, work_report)
 
 g = load_fixture("dolphins")
 main = triangle_centrality(g)
 
+parallel, counters = parallel_triangle_centrality(g)
+
 others = {
     "basic": triangle_centrality_basic(g).scores,
     "algebraic": triangle_centrality_algebraic(g).scores,
+    "parallel": parallel.scores,
     "mapreduce": run_mapreduce_tc(g)[0].scores,
 }
-for workers in (1, 2, 8):
-    cv, counters = parallel_triangle_centrality(g, ParallelConfig(workers=workers))
-    others[f"parallel[{workers}]"] = cv.scores
 
 print(f"dolphins: n={g.n} m={g.m} triangles={main.tri_total}\n")
 for name, scores in others.items():

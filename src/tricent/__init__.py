@@ -14,14 +14,14 @@ from .compare import (MEASURES, Ranking, agreement_dot_matrices,
                       best_jaccard_competitor, betweenness_centrality,
                       closeness_centrality, compute_all, degree_centrality,
                       eigenvector_centrality, pagerank, rank_vertices,
-                      similarity_matrix, top_k_jaccard)
+                      top_k_jaccard)
 from .errors import ConsistencyError, InputError
 from .generators import (FIXTURES, GEN_FAMILIES, book_with_satellite,
                          bridged_cliques, clique, clique_bridge_hub,
                          clique_chain, clique_ring, clique_star_hub,
                          disjoint_cliques, generate_fixture, load_fixture,
                          lone_triangle, star_triangle_hub, triad_hub)
-from .graph import (Graph, OrderedAdjacency, VertexOrder, average_degeneracy,
+from .graph import (Graph, OrderedAdjacency, VertexOrder,
                     build_abbreviated_adjacency, build_graph, degree_order,
                     dump_edge_list, load_edge_list, parse_edge_list)
 from .mapreduce import RoundStats, run_mapreduce_tc

@@ -78,11 +78,3 @@ def triangle_identities(T):
     if grand % 6:
         raise ConsistencyError("grand sum of T must divide by 6")
     return row_sums // 2, grand // 6
-
-
-def dump_matrix(M, file):
-    """Coordinate text dump, 1-based `i j value` lines in row-major order."""
-    coo = M.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    for idx in order:
-        file.write(f"{coo.row[idx] + 1} {coo.col[idx] + 1} {coo.data[idx]}\n")

@@ -95,9 +95,6 @@ def triangle_centrality_basic(g):
 
 
 CHAIN_ROLES = ("inner-joint", "outer-joint", "inner-member", "outer-member")
-RING_ROLES = ("joint", "member")
-FAMILIES = ("clique", "bridged-cliques", "disjoint-cliques", "clique-chain",
-            "clique-ring", "lone-triangle")
 
 
 def closed_form_tc(family, k=None, p=None, role=None):

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: compute, compare, mapreduce, gen, bench. Scores stream to stdout
-as `label<TAB>score` sorted by rank (ties by label); stats go to stderr.
+Subcommands: compute, compare, gen, bench. Scores stream to stdout as
+`label<TAB>score` sorted by rank (ties by label); stats go to stderr. The
+route table `_ROUTES` is the one list of `--algo` names.
 Exit codes: 0 ok, 1 usage, 2 I/O (silent when stdout is a pipe closed early),
 3 internal consistency.
 """
@@ -22,7 +23,7 @@ from .errors import ConsistencyError, InputError
 from .generators import GEN_FAMILIES, generate_fixture
 from .graph import dump_edge_list, load_edge_list
 from .mapreduce import run_mapreduce_tc
-from .parallel import ParallelConfig, parallel_triangle_centrality, work_report
+from .parallel import parallel_triangle_centrality, work_report
 
 USAGE_EXIT, IO_EXIT, INTERNAL_EXIT = 1, 2, 3
 
@@ -41,10 +42,7 @@ def _build_parser():
 
     pc = sub.add_parser("compute", help="compute triangle centrality scores")
     pc.add_argument("path", help="edge-list file, or - for stdin")
-    pc.add_argument("--algo", choices=["main", "basic", "algebraic", "parallel", "mapreduce"],
-                    default="main")
-    pc.add_argument("--threads", type=int, default=None,
-                    help="worker count for --algo parallel: checked, changes no work")
+    pc.add_argument("--algo", choices=list(_ROUTES), default="main")
     pc.add_argument("--stats", action="store_true", help="print work counters to stderr")
     pc.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
@@ -52,22 +50,15 @@ def _build_parser():
     pp.add_argument("path")
     pp.add_argument("--k", type=int, default=10)
 
-    pm = sub.add_parser("mapreduce", help="run the round simulator with stats")
-    pm.add_argument("path")
-
     pg = sub.add_parser("gen", help="emit a generated edge list")
     pg.add_argument("family", choices=sorted(GEN_FAMILIES))
-    pg.add_argument("--n", type=int, default=None, help="clique size (clique family)")
     pg.add_argument("--k", type=int, default=None, help="clique size parameter")
     pg.add_argument("--p", type=int, default=None, help="copy count parameter")
     pg.add_argument("--pendants", type=int, default=None)
 
     pb = sub.add_parser("bench", help="time algorithms on user-supplied edge lists")
     pb.add_argument("paths", nargs="*")
-    pb.add_argument("--algo", action="append",
-                    choices=["main", "basic", "algebraic", "parallel", "mapreduce"])
-    pb.add_argument("--threads", type=int, default=None,
-                    help="worker count for --algo parallel: checked, changes no work")
+    pb.add_argument("--algo", action="append", choices=list(_ROUTES))
     return p
 
 
@@ -100,47 +91,42 @@ def _emit_scores(g, cv, fmt, out):
         out.write("".join(map("{}\t{}\n".format, labels, scores)))
 
 
-def _run_algo(g, algo, threads):
-    if algo == "main":
-        return triangle_centrality(g), None
-    if algo == "basic":
-        return triangle_centrality_basic(g), None
-    if algo == "algebraic":
-        return triangle_centrality_algebraic(g), None
-    if algo == "parallel":
-        cv, counters = parallel_triangle_centrality(g, ParallelConfig(workers=threads))
-        return cv, counters
-    if algo == "mapreduce":
-        cv, stats = run_mapreduce_tc(g)
-        return cv, stats
-    raise InputError(f"unknown algorithm {algo!r}")
+def _counts_line(g, cv, _, out):
+    out.write(f"n={g.n} m={g.m} triangles={cv.tri_total}\n")
 
 
-def _cmd_compute(args):
-    g = load_edge_list(args.path)
-    cv, extra = _run_algo(g, args.algo, args.threads)
-    _emit_scores(g, cv, args.format, sys.stdout)
-    if args.stats:
-        if args.algo == "parallel" and extra is not None:
-            sys.stderr.write(str(work_report(extra, g)) + "\n")
-        elif args.algo == "mapreduce" and extra is not None:
-            _write_round_table(extra, sys.stderr)
-        else:
-            sys.stderr.write(f"n={g.n} m={g.m} triangles={cv.tri_total}\n")
-    return 0
+def _work_line(g, _, counters, out):
+    out.write(f"{work_report(counters, g)}\n")
 
 
-def _write_round_table(round_stats, out):
+def _round_table(g, _, round_stats, out):
     out.write("round\trecords-in\trecords-out\test-bits\n")
     for rs in round_stats:
         out.write(f"{rs.round_index}\t{rs.map_records}\t{rs.reduce_records}\t{rs.est_bits}\n")
 
 
-def _cmd_mapreduce(args):
+def _without_record(route):
+    return lambda g: (route(g), None)
+
+
+# --algo name -> (route: Graph -> (scores, the route's work record),
+#                 --stats writer of that record)
+_ROUTES = {
+    "main": (_without_record(triangle_centrality), _counts_line),
+    "basic": (_without_record(triangle_centrality_basic), _counts_line),
+    "algebraic": (_without_record(triangle_centrality_algebraic), _counts_line),
+    "parallel": (parallel_triangle_centrality, _work_line),
+    "mapreduce": (run_mapreduce_tc, _round_table),
+}
+
+
+def _cmd_compute(args):
     g = load_edge_list(args.path)
-    cv, stats = run_mapreduce_tc(g)
-    _emit_scores(g, cv, "tsv", sys.stdout)
-    _write_round_table(stats, sys.stderr)
+    route, write_stats = _ROUTES[args.algo]
+    cv, record = route(g)
+    _emit_scores(g, cv, args.format, sys.stdout)
+    if args.stats:
+        write_stats(g, cv, record, sys.stderr)
     return 0
 
 
@@ -170,15 +156,8 @@ def _cmd_compare(args):
 
 
 def _cmd_gen(args):
-    params = {}
-    if args.family == "clique" and args.n is not None:
-        params["k"] = args.n
-    if args.k is not None:
-        params["k"] = args.k
-    if args.p is not None:
-        params["p"] = args.p
-    if args.pendants is not None:
-        params["pendants"] = args.pendants
+    params = {name: getattr(args, name) for name in ("k", "p", "pendants")
+              if getattr(args, name) is not None}
     g = generate_fixture(args.family, **params)
     dump_edge_list(g, sys.stdout)
     return 0
@@ -195,7 +174,7 @@ def _cmd_bench(args):
             continue
         for algo in algos:
             t0 = time.perf_counter()
-            cv, _ = _run_algo(g, algo, args.threads)
+            cv, _ = _ROUTES[algo][0](g)
             dt = time.perf_counter() - t0
             sys.stdout.write(f"{path}\t{algo}\t{g.n}\t{g.m}\t{cv.tri_total}\t{dt:.3f}\n")
     return 0
@@ -204,7 +183,6 @@ def _cmd_bench(args):
 _COMMANDS = {
     "compute": _cmd_compute,
     "compare": _cmd_compare,
-    "mapreduce": _cmd_mapreduce,
     "gen": _cmd_gen,
     "bench": _cmd_bench,
 }

@@ -238,10 +238,6 @@ class DotMatrix:
     cells: np.ndarray
 
     @property
-    def column_sums(self):
-        return self.cells.sum(axis=0)
-
-    @property
     def agreement_percent(self):
         return 100.0 * self.cells.sum() / self.cells.size if self.cells.size else 0.0
 
@@ -273,17 +269,3 @@ def agreement_dot_matrices(rankings_by_graph, measures=None):
                 cells[i, j] = tops[gname][m] == tops[gname][c]
         out[m] = DotMatrix(measure=m, graphs=graphs, competitors=comp, cells=cells)
     return out
-
-
-def similarity_matrix(rankings_by_graph, measures=None):
-    """Square top-vertex agreement counts between all measure pairs."""
-    dots = agreement_dot_matrices(rankings_by_graph, measures)
-    names = list(dots)
-    mat = np.zeros((len(names), len(names)), dtype=np.int64)
-    for i, m in enumerate(names):
-        dm = dots[m]
-        for j, c in enumerate(names):
-            if m == c:
-                continue
-            mat[i, j] = dm.column_sums[dm.competitors.index(c)]
-    return mat, names

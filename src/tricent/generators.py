@@ -7,6 +7,8 @@ comes from :func:`tricent.centrality.closed_form_tc`. Showcase graphs label
 their distinguished vertex ``"a"``.
 """
 
+import functools
+import inspect
 from importlib import resources
 from itertools import combinations
 
@@ -180,26 +182,31 @@ def load_fixture(name):
 
 
 GEN_FAMILIES = {
-    "clique": lambda k=5, **_: clique(k)[0],
-    "disjoint-cliques": lambda p=2, k=4, **_: disjoint_cliques(p, k)[0],
-    "bridged-cliques": lambda p=4, k=6, **_: bridged_cliques(p, k)[0],
-    "clique-chain": lambda p=3, k=4, **_: clique_chain(p, k)[0],
-    "clique-ring": lambda p=3, k=4, **_: clique_ring(p, k)[0],
-    "lone-triangle": lambda pendants=1, **_: lone_triangle(pendants)[0],
-    "triad-hub": lambda **_: triad_hub(),
-    "clique-bridge-hub": lambda p=4, k=6, **_: clique_bridge_hub(p, k),
-    "star-triangle-hub": lambda **_: star_triangle_hub(),
-    "clique-star-hub": lambda **_: clique_star_hub(),
-    "book-satellite": lambda **_: book_with_satellite(),
-    "borgatti": lambda **_: load_fixture("borgatti"),
-    "karate": lambda **_: load_fixture("karate"),
-    "dolphins": lambda **_: load_fixture("dolphins"),
-    "hijackers": lambda **_: load_fixture("hijackers"),
+    "clique": lambda k=5: clique(k)[0],
+    "disjoint-cliques": lambda p=2, k=4: disjoint_cliques(p, k)[0],
+    "bridged-cliques": lambda p=4, k=6: bridged_cliques(p, k)[0],
+    "clique-chain": lambda p=3, k=4: clique_chain(p, k)[0],
+    "clique-ring": lambda p=3, k=4: clique_ring(p, k)[0],
+    "lone-triangle": lambda pendants=1: lone_triangle(pendants)[0],
+    "triad-hub": triad_hub,
+    "clique-bridge-hub": clique_bridge_hub,
+    "star-triangle-hub": star_triangle_hub,
+    "clique-star-hub": clique_star_hub,
+    "book-satellite": book_with_satellite,
+    **{name: functools.partial(load_fixture, name) for name in FIXTURES},
 }
 
 
 def generate_fixture(family, **params):
-    """Dispatch a named family with keyword parameters (CLI entry point)."""
+    """Dispatch a named family with keyword parameters (CLI entry point).
+
+    A parameter the family does not take is an InputError, not ignored."""
     if family not in GEN_FAMILIES:
         raise InputError(f"unknown family {family!r}; have {sorted(GEN_FAMILIES)}")
-    return GEN_FAMILIES[family](**params)
+    build = GEN_FAMILIES[family]
+    takes = inspect.signature(build).parameters
+    for name in params:
+        if name not in takes:
+            raise InputError(f"family {family!r} takes no parameter {name!r} "
+                             f"(it takes: {', '.join(takes) or 'none'})")
+    return build(**params)

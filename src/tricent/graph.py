@@ -15,7 +15,6 @@ CSR step, ``_graph_from_ids``.
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -52,11 +51,6 @@ class Graph:
 
     def label_of(self, v):
         return self.labels[v]
-
-    def has_edge(self, u, v):
-        row = self.neighbors_of(u)
-        i = np.searchsorted(row, v)
-        return bool(i < row.shape[0] and row[i] == v)
 
     def _edge_ends(self):
         """Arrays ``(u, v)`` of every undirected edge once, u < v, by (u, v)."""
@@ -285,10 +279,6 @@ class VertexOrder:
     rank: np.ndarray
     order: np.ndarray
 
-    def below(self, u, v):
-        """True iff u precedes v in the order."""
-        return self.rank[u] < self.rank[v]
-
 
 def degree_order(g):
     """Degree ordering: position by (degree, label); deterministic."""
@@ -324,13 +314,6 @@ class OrderedAdjacency:
         np.cumsum(prefix_len, out=self.prefix_offsets[1:])
         self.rank = rank
 
-    def prefix(self, v):
-        base = self.offsets[v]
-        return self.nbr[base:base + self.prefix_len[v]]
-
-    def suffix(self, v):
-        return self.nbr[self.offsets[v] + self.prefix_len[v]:self.offsets[v + 1]]
-
     def row(self, v):
         return self.nbr[self.offsets[v]:self.offsets[v + 1]]
 
@@ -352,12 +335,3 @@ def build_abbreviated_adjacency(g, order):
     perm = np.argsort(src * 2 + ~in_prefix, kind="stable")
     prefix_len = np.bincount(src[in_prefix], minlength=g.n).astype(np.int64)
     return OrderedAdjacency(g.n, g.m, offsets, nbr[perm], prefix_len, rank)
-
-
-def average_degeneracy(g):
-    """Mean over edges of the smaller endpoint degree, as an exact rational."""
-    if g.m == 0:
-        raise InputError("average degeneracy is undefined for an edgeless graph")
-    deg = g.degrees
-    u, v = g._edge_ends()
-    return Fraction(int(np.minimum(deg[u], deg[v]).sum()), g.m)

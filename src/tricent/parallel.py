@@ -4,44 +4,30 @@ The route is the merge kernel of :mod:`tricent.triangle` plus its work
 counters: one pass of ``triangle_neighbor`` over the abbreviated adjacency,
 in one thread, fills the triangle and merge-comparison counts, the prefix
 lengths give the pair tests, and the score fold of :mod:`tricent.centrality`
-finishes the job. Phases: setup (order, prefixes), detect, fold. The worker
-count is validated but changes no work: the kernel is pure Python and holds
-the interpreter lock, and a thread pool over the numpy wedge kernel gained
-nothing on Holme-Kim graphs. All counting is exact, so results are bitwise
-identical to the sequential path. Work counters stand in for abstract
-processor-count claims.
+finishes the job. Phases: setup (order, prefixes), detect, fold. The route
+runs in one thread and takes no worker count: the kernel is pure Python and
+holds the interpreter lock, and a thread pool over the numpy wedge kernel
+gained nothing on Holme-Kim graphs. All counting is exact, so results are
+bitwise identical to the sequential path. Work counters stand in for
+abstract processor-count claims.
 """
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .centrality import tc_from_triangles
-from .errors import InputError
 from .graph import build_abbreviated_adjacency, degree_order
 from .triangle import MergeTally, triangle_neighbor
 
 
 @dataclass
 class ParallelConfig:
-    # validated, changes no work; None means the TC_THREADS environment
-    # variable, else the CPU count
+    # accepted for callers that pass a worker count; the route reads nothing
+    # from it
     workers: int | None = None
-
-    def resolved_workers(self):
-        w = self.workers
-        if w is None:
-            env = os.environ.get("TC_THREADS")
-            try:
-                w = int(env) if env else (os.cpu_count() or 1)
-            except ValueError:
-                raise InputError(f"TC_THREADS must be an integer, got {env!r}") from None
-        if w < 1:
-            raise InputError("worker count must be >= 1")
-        return w
 
 
 @dataclass
@@ -51,8 +37,8 @@ class WorkCounters(MergeTally):
 
 
 def parallel_triangle_centrality(g, cfg=None):
-    """Scores plus work counters; bitwise equal to the sequential pipeline."""
-    (cfg or ParallelConfig()).resolved_workers()
+    """Scores plus work counters; bitwise equal to the sequential pipeline.
+    ``cfg`` is accepted and not read."""
     counters = WorkCounters()
 
     t0 = time.perf_counter()

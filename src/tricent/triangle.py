@@ -45,10 +45,6 @@ class TriangleMarks:
     higher-ordered triangle neighbor of the row vertex."""
 
     bits: np.ndarray
-    offsets: np.ndarray  # prefix offsets, length n+1
-
-    def row(self, v):
-        return self.bits[self.offsets[v]:self.offsets[v + 1]]
 
 
 class TriangleNeighborhood:
@@ -64,9 +60,6 @@ class TriangleNeighborhood:
 
     def __len__(self):
         return len(self.lists)
-
-    def as_sets(self):
-        return [set(row) for row in self.lists]
 
     def __eq__(self, other):
         return isinstance(other, TriangleNeighborhood) and self.lists == other.lists
@@ -308,7 +301,7 @@ def _stats_and_marks(adj, counts, per_edge):
     stats = TriangleStats(per_vertex=halves.astype(np.int64) // 2,
                           total=int(counts.sum()) // 3,
                           per_edge=counts if per_edge else None)
-    return stats, TriangleMarks(bits=counts > 0, offsets=adj.prefix_offsets)
+    return stats, TriangleMarks(bits=counts > 0)
 
 
 def triangle_neighbor(adj, tally=None, per_edge=True):
@@ -476,11 +469,3 @@ def edge_count_arrays(adj, stats):
     v, u = _entry_ends(adj, e)
     c = stats.per_edge[e]
     return np.concatenate((v, u)), np.concatenate((u, v)), np.concatenate((c, c))
-
-
-def dump_neighborhood(nbh, file, g=None):
-    """Write sorted `v: u1 u2 ...` lines, with labels when a graph is given."""
-    name = (lambda v: g.labels[v]) if g is not None else (lambda v: v)
-    for v in range(len(nbh.lists)):
-        row = " ".join(str(name(u)) for u in nbh.lists[v])
-        file.write(f"{name(v)}: {row}\n")

@@ -1,12 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from tricent.algebraic import (adjacency_matrix, build_triangle_matrix,
-                               dump_matrix, tc_algebraic,
-                               triangle_centrality_algebraic,
+                               tc_algebraic, triangle_centrality_algebraic,
                                triangle_identities)
 from tricent.centrality import triangle_centrality
 from tricent.errors import ConsistencyError
@@ -110,11 +107,3 @@ def test_triangle_free_flagged():
     g = build_graph([(1, 2), (2, 3)])
     cv = triangle_centrality_algebraic(g)
     assert cv.triangle_free and np.all(cv.scores == 0.0)
-
-
-def test_dump_matrix_coordinates():
-    buf = io.StringIO()
-    dump_matrix(build_triangle_matrix(k_n(3)), buf)
-    assert buf.getvalue().splitlines() == [
-        "1 2 1", "1 3 1", "2 1 1", "2 3 1", "3 1 1", "3 2 1",
-    ]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tricent
-from tricent.cli import main
+from tricent.cli import _ROUTES, main
 from tricent.generators import GEN_FAMILIES, load_fixture
 from tricent.graph import dump_edge_list
 
@@ -44,7 +44,7 @@ def test_compute_from_stdin(capsys, monkeypatch):
 
 
 def test_gen_pipe_round_trip(capsys, tmp_path):
-    code, out, _ = run(capsys, "gen", "clique", "--n", "5")
+    code, out, _ = run(capsys, "gen", "clique", "--k", "5")
     assert code == 0
     path = tmp_path / "c5.txt"
     path.write_text(out)
@@ -63,7 +63,7 @@ def test_empty_input_is_ok(capsys, tmp_path):
 
 def test_all_algorithms_agree(capsys, karate_file):
     outputs = {}
-    for algo in ("main", "basic", "algebraic", "parallel", "mapreduce"):
+    for algo in _ROUTES:
         code, out, _ = run(capsys, "compute", karate_file, "--algo", algo)
         assert code == 0
         outputs[algo] = {
@@ -77,8 +77,8 @@ def test_all_algorithms_agree(capsys, karate_file):
 
 
 def test_output_determinism(capsys, karate_file):
-    first = run(capsys, "compute", karate_file, "--algo", "parallel", "--threads", "4")
-    second = run(capsys, "compute", karate_file, "--algo", "parallel", "--threads", "4")
+    first = run(capsys, "compute", karate_file, "--algo", "parallel")
+    second = run(capsys, "compute", karate_file, "--algo", "parallel")
     assert first == second
 
 
@@ -103,7 +103,7 @@ def test_json_layout_is_json_dumps_indent_two(capsys, monkeypatch, text):
 
 
 def test_mapreduce_round_table(capsys, karate_file):
-    code, out, err = run(capsys, "mapreduce", karate_file)
+    code, out, err = run(capsys, "compute", karate_file, "--algo", "mapreduce", "--stats")
     assert code == 0
     rows = err.strip().splitlines()
     assert rows[0].split("\t") == ["round", "records-in", "records-out", "est-bits"]
@@ -137,22 +137,7 @@ def test_stats_flag(capsys, karate_file):
     assert code == 0 and "triangles=45" in err
 
 
-def test_threads_env_mirror(capsys, monkeypatch, karate_file):
-    monkeypatch.setenv("TC_THREADS", "2")
-    code, out, _ = run(capsys, "compute", karate_file, "--algo", "parallel")
-    assert code == 0
-    assert out.strip().splitlines()[0].startswith("14\t")
-
-
-def test_threads_env_not_an_integer(capsys, monkeypatch, karate_file):
-    monkeypatch.setenv("TC_THREADS", "abc")
-    code, _, err = run(capsys, "compute", karate_file, "--algo", "parallel")
-    assert code == 1 and err.startswith("error:")
-    code, out, _ = run(capsys, "compute", karate_file, "--algo", "main")
-    assert code == 0 and out.startswith("14\t")
-
-
-@pytest.mark.parametrize("algo", ["main", "basic", "algebraic", "parallel", "mapreduce"])
+@pytest.mark.parametrize("algo", list(_ROUTES))
 def test_label_seen_only_in_a_self_loop(capsys, monkeypatch, algo):
     # 9 becomes the last vertex and has no neighbors
     monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n2 3\n1 3\n9 9\n"))
@@ -169,6 +154,27 @@ def test_usage_errors_exit_one(capsys):
 
 def test_bad_generator_params_exit_one(capsys):
     assert run(capsys, "gen", "clique-chain", "--p", "1")[0] == 1
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("triad-hub", "--k", "9"), "'k'"),
+    (("karate", "--p", "40", "--pendants", "3"), "'p'"),
+])
+def test_gen_rejects_parameter_the_family_does_not_take(capsys, argv, name):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"no parameter {name}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--threads", "2", "{f}"),
+    ("bench", "--threads", "2", "{f}"),
+    ("mapreduce", "{f}"),
+    ("gen", "clique", "--n", "5"),
+])
+def test_removed_options_exit_one(capsys, karate_file, argv):
+    code, out, _ = run(capsys, *(a.format(f=karate_file) for a in argv))
+    assert code == 1 and out == ""
 
 
 def test_missing_file_exit_two(capsys):
@@ -191,6 +197,14 @@ def test_bench_skips_missing_and_reports(capsys, karate_file):
     rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
     assert len(rows) == 2
     assert all(row[4] == "45" for row in rows)
+
+
+@pytest.mark.parametrize("algo", list(_ROUTES))
+def test_bench_runs_every_route(capsys, karate_file, algo):
+    code, out, _ = run(capsys, "bench", karate_file, "--algo", algo)
+    assert code == 0
+    rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+    assert [row[:5] for row in rows] == [[karate_file, algo, "34", "78", "45"]]
 
 
 def test_bench_skips_malformed_file(capsys, tmp_path, karate_file):

@@ -11,7 +11,7 @@ from tricent.compare import (agreement_dot_matrices, best_jaccard_competitor,
                              betweenness_centrality, closeness_centrality,
                              compute_all, degree_centrality,
                              eigenvector_centrality, pagerank, rank_vertices,
-                             similarity_matrix, top_k_jaccard)
+                             top_k_jaccard)
 from tricent.errors import InputError
 from tricent.generators import (clique, clique_bridge_hub, clique_ring,
                                 clique_star_hub, load_fixture, triad_hub)
@@ -244,8 +244,6 @@ def test_agreement_dot_matrix_rows():
     assert x.cells[0].all() and not x.cells[1].any()
     assert x.unique_rows == 1 and x.full_rows == 1
     assert x.agreement_percent == 50.0
-    mat, names = similarity_matrix(rankings)
-    assert mat[names.index("Y"), names.index("Z")] == 2
 
 
 def test_agreement_on_bundled_corpus():

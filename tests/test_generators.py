@@ -85,10 +85,26 @@ def test_fixture_loader_rejects_unknown():
 def test_generate_fixture_dispatch():
     g = generate_fixture("clique", k=5)
     assert (g.n, g.m) == (5, 10)
+    assert generate_fixture("clique").n == 5
+    g = generate_fixture("clique-bridge-hub", p=2, k=3)
+    assert (g.n, g.m) == (7, 8)
+    assert generate_fixture("karate").m == 78
     with pytest.raises(InputError):
         generate_fixture("unknown-family")
     with pytest.raises(InputError):
         generate_fixture("clique-chain", p=1, k=4)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("triad-hub", {"k": 9}),
+    ("karate", {"p": 40, "pendants": 3}),
+    ("clique-ring", {"n": 7}),
+    ("clique", {"n": 5, "k": 4}),
+    ("lone-triangle", {"k": 3}),
+])
+def test_generate_fixture_rejects_parameters_not_taken(family, params):
+    with pytest.raises(InputError, match=f"{family!r} takes no parameter"):
+        generate_fixture(family, **params)
 
 
 def test_param_validation():

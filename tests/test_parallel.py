@@ -1,10 +1,8 @@
 import threading
 
 import numpy as np
-import pytest
 
 from tricent.centrality import triangle_centrality
-from tricent.errors import InputError
 from tricent.generators import clique, load_fixture
 from tricent.parallel import (ParallelConfig, parallel_triangle_centrality,
                               work_report)
@@ -74,16 +72,6 @@ def test_work_report_karate_ratio_below_one():
     assert 0.0 < report.pair_test_ratio < 1.0
     assert report.triangles == 45
     assert "pair-tests" in str(report)
-
-
-def test_worker_env_override(monkeypatch):
-    monkeypatch.setenv("TC_THREADS", "3")
-    assert ParallelConfig().resolved_workers() == 3
-    with pytest.raises(InputError):
-        ParallelConfig(workers=0).resolved_workers()
-    monkeypatch.setenv("TC_THREADS", "abc")
-    with pytest.raises(InputError):
-        ParallelConfig().resolved_workers()
 
 
 def test_huge_worker_count_starts_no_threads(monkeypatch):
