@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .centrality import CHAIN_ROLES
 from .errors import InputError
-from .graph import build_graph, parse_edge_list
+from .graph import build_graph, load_edge_list
 
 
 def _clique_edges(members):
@@ -177,8 +177,8 @@ def load_fixture(name):
     """Load one of the bundled small networks by name."""
     if name not in FIXTURES:
         raise InputError(f"unknown fixture {name!r}; have {FIXTURES}")
-    text = resources.files("tricent.fixtures").joinpath(f"{name}.txt").read_text()
-    return build_graph(parse_edge_list(text.splitlines(), source=f"fixture:{name}"))
+    with resources.files("tricent.fixtures").joinpath(f"{name}.txt").open(encoding="utf-8") as fh:
+        return load_edge_list(fh)
 
 
 GEN_FAMILIES = {

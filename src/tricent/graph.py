@@ -292,46 +292,39 @@ def degree_order(g):
 
 
 class OrderedAdjacency:
-    """Per-vertex partition of N(v) with the higher-ordered prefix first.
+    """Every edge once, as a packed prefix entry oriented up the order.
 
-    ``nbr`` mirrors the graph's neighbor array, reordered per vertex so that
-    entries ``nbr[offsets[v] : offsets[v] + prefix_len[v]]`` are exactly the
-    neighbors ranked above v, sorted ascending by internal id. The remaining
-    entries of the row hold the lower-ordered neighbors (arbitrary order).
-    ``prefix_offsets`` packs the prefixes into one index space of total size m
-    (used by the mark arrays).
+    Entry e is the edge (``lower[e]``, ``higher[e]``), with ``higher[e]``
+    ranked above ``lower[e]``. Entries run by ``lower``, so v's prefix (its
+    neighbors ranked above v) is ``higher[prefix_offsets[v] :
+    prefix_offsets[v + 1]]``, ``prefix_len[v]`` entries sorted ascending by
+    internal id; the m entries index the per-entry counts and mark arrays.
+    ``row(v)`` is v's whole neighbor row in the graph.
     """
 
-    __slots__ = ("n", "m", "offsets", "nbr", "prefix_len", "prefix_offsets", "rank")
+    __slots__ = ("n", "m", "lower", "higher", "prefix_len", "prefix_offsets", "rank", "_graph")
 
-    def __init__(self, n, m, offsets, nbr, prefix_len, rank):
-        self.n = n
-        self.m = m
-        self.offsets = offsets
-        self.nbr = nbr
-        self.prefix_len = prefix_len
-        self.prefix_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(prefix_len, out=self.prefix_offsets[1:])
+    def __init__(self, g, lower, higher, rank):
+        self.n = g.n
+        self.m = g.m
+        self.lower = lower
+        self.higher = higher
+        self.prefix_len = np.bincount(lower, minlength=g.n)
+        self.prefix_offsets = np.zeros(g.n + 1, dtype=np.int64)
+        np.cumsum(self.prefix_len, out=self.prefix_offsets[1:])
         self.rank = rank
+        self._graph = g
 
     def row(self, v):
-        return self.nbr[self.offsets[v]:self.offsets[v + 1]]
+        return self._graph.neighbors_of(v)
 
 
 def build_abbreviated_adjacency(g, order):
-    """Partition each neighbor row into higher-/lower-ordered halves.
+    """Orient every edge of ``g`` toward its higher-ordered endpoint.
 
-    One stable sort on (row, not-in-prefix): rows arrive sorted by id, so
-    each prefix comes out sorted ascending and the rest keeps row order.
+    The graph's arcs (v, u) run by v and each row ascends by id, so the arcs
+    with u ranked above v are exactly the packed prefixes, in entry order.
     """
-    offsets = g.offsets
-    rank = order.rank
-    if g.m == 0:
-        return OrderedAdjacency(g.n, 0, offsets, g.neighbors.copy(),
-                                np.zeros(g.n, dtype=np.int64), rank)
-    nbr = g.neighbors
     src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    in_prefix = rank[nbr] > rank[src]
-    perm = np.argsort(src * 2 + ~in_prefix, kind="stable")
-    prefix_len = np.bincount(src[in_prefix], minlength=g.n).astype(np.int64)
-    return OrderedAdjacency(g.n, g.m, offsets, nbr[perm], prefix_len, rank)
+    up = order.rank[g.neighbors] > order.rank[src]
+    return OrderedAdjacency(g, src[up], g.neighbors[up], order.rank)

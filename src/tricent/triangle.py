@@ -1,17 +1,19 @@
 """Triangle counting and triangle-neighborhood identification.
 
-The kernels find every triangle exactly once, from its lowest-ordered
-vertex, inside the sorted abbreviated adjacency prefixes, and count it on its
-three edges; per-vertex and global counts and the triangle-neighbor marks are
-derived from those per-edge counts. The production path is the vectorized
+The kernels read the abbreviated adjacency's packed prefix entries, one per
+edge (``adj.lower[e]``, ``adj.higher[e]``), and find every triangle exactly
+once, from its lowest-ordered vertex, as a pair of entries of one prefix
+whose closing edge is an entry too. Each triangle counts on its three
+entries; per-vertex and global counts and the triangle-neighbor marks are
+derived from those per-entry counts. The production path is the vectorized
 wedge check (`wedge_counts`): numpy looks up the closing edge of every pair
 of entries of one prefix with `searchsorted` among the sorted entry keys.
 The basic route's kernel (`_hash_counts`) tests the same pairs against a hash
-table of the edges built in numpy. Both take the pairs from one blocked
-enumeration (`_prefix_pairs`), so their memory stays O(m). The pure-Python
-merge intersection (`triangle_neighbor`, over `_merge_counts`) is their
-oracle, and it also serves the PRAM route of :mod:`tricent.parallel` and the
-merge-comparison counts. A two-orientation variant, a set-intersection
+table of the edges built in numpy. Both run one blocked pair loop
+(`_pair_counts` over `_prefix_pairs`), so their memory stays O(m). The
+pure-Python merge intersection (`triangle_neighbor`, over `_merge_counts`)
+is their oracle, and it also serves the PRAM route of
+:mod:`tricent.parallel` and the merge-comparison counts. A two-orientation variant, a set-intersection
 variant and a cubic brute-force oracle are kept alongside as cross-checks.
 All routines agree on per-vertex counts, the global count, and the
 triangle-neighbor relation.
@@ -73,16 +75,8 @@ class MergeTally:
     triangles: int = 0
 
 
-def _packed_prefixes(adj):
-    """Every vertex's prefix in packed entry order: entry e holds the higher
-    endpoint u of the prefix edge (v, u), an array of length m."""
-    idx = np.repeat(adj.offsets[:-1] - adj.prefix_offsets[:-1], adj.prefix_len)
-    idx += np.arange(idx.shape[0])
-    return adj.nbr[idx]
-
-
 def _prefix_lists(adj):
-    flat = _packed_prefixes(adj).tolist()
+    flat = adj.higher.tolist()
     poff = adj.prefix_offsets.tolist()
     return [flat[a:b] for a, b in zip(poff, poff[1:])]
 
@@ -140,13 +134,12 @@ def _prefix_pairs(adj):
     of that prefix, so ``first`` ascends and ``second`` ascends within each
     run of equal ``first``.
     """
-    poff = adj.prefix_offsets
-    m = int(poff[-1])
+    poff, lower, m = adj.prefix_offsets, adj.lower, adj.m
     if m == 0:
         return
     # entry e opens one pair with each later entry of its row; a block ends
     # where the running pair count passes a multiple of the block size
-    running = np.repeat(poff[1:], adj.prefix_len)
+    running = poff[lower + 1]
     running -= np.arange(1, m + 1)
     np.cumsum(running, out=running)
     cuts = np.searchsorted(running, np.arange(_WEDGE_BLOCK, running[-1], _WEDGE_BLOCK),
@@ -155,7 +148,7 @@ def _prefix_pairs(adj):
     lo = 0
     for hi in cuts + [m]:
         e = np.arange(lo, hi)
-        w = poff[np.searchsorted(poff, e, side="right")] - e - 1
+        w = poff[lower[lo:hi] + 1] - e - 1
         first = np.repeat(e, w)
         # second runs over the entries after first in its row
         second = np.repeat(e + 1 + w - np.cumsum(w), w)
@@ -164,39 +157,50 @@ def _prefix_pairs(adj):
         lo = hi
 
 
+def _pair_counts(adj, find):
+    """Per-entry triangle counts from every pair of entries of one prefix.
+
+    Entries (v, a), (v, b) of one prefix, a < b by id, close a triangle iff
+    {a, b} is an edge. ``find(a, b)`` takes one block of such pairs as
+    arrays and returns ``(hit, at)``: an index of the pairs that close and,
+    for each, the entry of its closing edge. Each triangle is found once,
+    from its lowest-ordered vertex, and adds 1 at its three entries. The
+    result is the int64 array of counts that ``_merge_counts`` writes, entry
+    for entry. The pairs come from :func:`_prefix_pairs` in blocks, so
+    memory stays O(m) however many pairs the graph has.
+    """
+    counts = np.zeros(adj.m, dtype=np.int64)
+    higher = adj.higher
+    for first, second in _prefix_pairs(adj):
+        hit, at = find(higher[first], higher[second])
+        np.add.at(counts, first[hit], 1)
+        np.add.at(counts, second[hit], 1)
+        np.add.at(counts, at, 1)
+    return counts
+
+
 def wedge_counts(adj):
     """Per-entry triangle counts by checking the wedges inside each prefix.
 
-    Two entries (v, a), (v, b) of one prefix form a wedge, closed iff {a, b}
-    is an edge, which the lower-ordered of a and b holds as a prefix entry.
-    The wedge's packed key (lower * n + other) is looked up with
-    ``searchsorted`` among the entries' keys ``v * n + u``, which are sorted,
-    and each closed wedge adds 1 at its three entries. The result is the
-    int64 array of counts that ``_merge_counts`` writes, entry for entry.
-    The wedges come from :func:`_prefix_pairs` in blocks, so memory stays
-    O(m) however many wedges the graph has.
+    A wedge's closing edge {a, b} is held by the lower-ordered of a and b as
+    a prefix entry, so its packed key (lower * n + other) is looked up with
+    ``searchsorted`` among the entries' keys ``lower * n + higher``, which
+    are sorted. The pair loop is :func:`_pair_counts`.
     """
-    n, m = adj.n, int(adj.prefix_offsets[-1])
-    counts = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return counts
-    higher = _packed_prefixes(adj)
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, adj.prefix_len)
-    keys += higher
-    for first, second in _prefix_pairs(adj):
-        a, b = higher[first], higher[second]
-        key = np.where(adj.rank[a] < adj.rank[b], a * n + b, b * n + a)
+    n, rank = adj.n, adj.rank
+    keys = adj.lower * n + adj.higher
+
+    def find(a, b):
+        key = np.where(rank[a] < rank[b], a * n + b, b * n + a)
         # sorted needles make searchsorted's probes walk the keys in order
         order = np.argsort(key)
         key = key[order]
         at = np.searchsorted(keys, key)
-        np.minimum(at, m - 1, out=at)
+        np.minimum(at, adj.m - 1, out=at)
         hit = keys[at] == key
-        closed = order[hit]
-        np.add.at(counts, first[closed], 1)
-        np.add.at(counts, second[closed], 1)
-        np.add.at(counts, at[hit], 1)
-    return counts
+        return order[hit], at[hit]
+
+    return _pair_counts(adj, find)
 
 
 # Fibonacci hashing: a key's bucket is the top bits of key * ⌊2^64 / φ⌋ mod 2^64
@@ -257,34 +261,20 @@ def _hash_counts(adj):
     table of the edges.
 
     Every edge is one packed prefix entry, keyed ``min * n + max`` in
-    :func:`_hash_table`. Prefixes ascend by id, so entries u < w of v's
-    prefix give the key ``u * n + w`` of their closing edge directly. A hit
-    is one triangle, found once from v, and adds 1 at its three entries:
-    Σ p(p-1)/2 probes in all, for prefix lengths p, taken in the blocks of
-    :func:`_prefix_pairs`. The result is the int64 array of counts that
-    ``wedge_counts`` and ``_merge_counts`` give, entry for entry.
+    :func:`_hash_table`. Prefixes ascend by id, so entries a < b of one
+    prefix give the key ``a * n + b`` of their closing edge directly. The
+    pair loop is :func:`_pair_counts`: Σ p(p-1)/2 probes in all, for prefix
+    lengths p.
     """
-    n, m = adj.n, int(adj.prefix_offsets[-1])
-    counts = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return counts
-    higher = _packed_prefixes(adj)
-    lower = np.repeat(np.arange(n, dtype=np.int64), adj.prefix_len)
+    n, lower, higher = adj.n, adj.lower, adj.higher
     table = _hash_table(np.minimum(lower, higher) * n + np.maximum(lower, higher))
-    del lower
-    for first, second in _prefix_pairs(adj):
-        e = _hash_find(table, higher[first] * n + higher[second])
-        hit = e >= 0
-        np.add.at(counts, first[hit], 1)
-        np.add.at(counts, second[hit], 1)
-        np.add.at(counts, e[hit], 1)
-    return counts
 
+    def find(a, b):
+        at = _hash_find(table, a * n + b)
+        hit = at >= 0
+        return hit, at[hit]
 
-def _entry_ends(adj, e):
-    """Endpoints ``(v, u)`` of the packed prefix entries ``e``, as arrays."""
-    v = np.searchsorted(adj.prefix_offsets, e, side="right") - 1
-    return v, adj.nbr[adj.offsets[v] + e - adj.prefix_offsets[v]]
+    return _pair_counts(adj, find)
 
 
 def _stats_and_marks(adj, counts, per_edge):
@@ -293,7 +283,7 @@ def _stats_and_marks(adj, counts, per_edge):
     triangle-neighbor pair iff its count is positive."""
     counts = np.asarray(counts, dtype=np.int64)
     e = np.flatnonzero(counts)
-    v, u = _entry_ends(adj, e)
+    v, u = adj.lower[e], adj.higher[e]
     # float sums of integer counts, exact far beyond any count a graph reaches
     w = counts[e]
     halves = (np.bincount(v, weights=w, minlength=adj.n)
@@ -311,7 +301,7 @@ def triangle_neighbor(adj, tally=None, per_edge=True):
     global counts, the marks and (by default) the per-edge counts are derived
     from those counts.
     """
-    counts = [0] * int(adj.prefix_offsets[-1])
+    counts = [0] * adj.m
     comparisons = _merge_counts(_prefix_lists(adj), adj.prefix_offsets.tolist(), counts)
     stats, marks = _stats_and_marks(adj, counts, per_edge)
     if tally is not None:
@@ -323,7 +313,7 @@ def triangle_neighbor(adj, tally=None, per_edge=True):
 def marked_pairs(adj, marks):
     """Arrays ``(src, dst)`` holding every marked prefix entry (v, u) in both
     directions: one row per ordered pair of triangle neighbors."""
-    v, u = _entry_ends(adj, np.flatnonzero(marks.bits))
+    v, u = adj.lower[marks.bits], adj.higher[marks.bits]
     return np.concatenate((v, u)), np.concatenate((u, v))
 
 
@@ -466,6 +456,6 @@ def edge_count_arrays(adj, stats):
     if stats.per_edge is None:
         raise InputError("stats carry no per-edge counts")
     e = np.flatnonzero(stats.per_edge)
-    v, u = _entry_ends(adj, e)
+    v, u = adj.lower[e], adj.higher[e]
     c = stats.per_edge[e]
     return np.concatenate((v, u)), np.concatenate((u, v)), np.concatenate((c, c))

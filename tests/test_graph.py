@@ -12,12 +12,11 @@ from tricent.graph import (build_abbreviated_adjacency, build_graph,
 
 
 def prefix(adj, v):
-    start = adj.offsets[v]
-    return adj.nbr[start:start + adj.prefix_len[v]].tolist()
+    return adj.higher[adj.prefix_offsets[v]:adj.prefix_offsets[v + 1]].tolist()
 
 
 def suffix(adj, v):
-    return adj.nbr[adj.offsets[v] + adj.prefix_len[v]:adj.offsets[v + 1]].tolist()
+    return adj.lower[adj.higher == v].tolist()
 
 
 def test_build_graph_cleans_input():
@@ -110,9 +109,18 @@ def test_abbreviated_adjacency_star_and_triangle():
 
 
 def test_partition_correctness_random(random_suite_200):
-    for g in random_suite_200:
+    # a graph with vertices and no edges needs no special case
+    edgeless = load_edge_list(io.StringIO("1 1\n"))
+    assert (edgeless.n, edgeless.m) == (1, 0)
+    for g in random_suite_200 + [edgeless]:
         order = degree_order(g)
         adj = build_abbreviated_adjacency(g, order)
+        lower, higher = adj.lower.tolist(), adj.higher.tolist()
+        # every edge stored once, entries run by lower, each oriented upward
+        assert len(lower) == g.m
+        assert {(min(e), max(e)) for e in zip(lower, higher)} == set(g.edges())
+        assert np.all(np.diff(adj.lower) >= 0)
+        assert np.all(order.rank[adj.higher] > order.rank[adj.lower])
         bound = math.sqrt(2 * g.m)
         for v in range(g.n):
             higher = prefix(adj, v)

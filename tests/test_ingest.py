@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tricent.cli import main
 from tricent.errors import InputError
-from tricent.generators import FIXTURES
+from tricent.generators import FIXTURES, load_fixture
 from tricent.graph import build_graph, load_edge_list, parse_edge_list
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "tricent" / "fixtures"
@@ -235,7 +235,9 @@ def test_build_of_parsed_pairs_equals_load(tmp_path, name):
     path = input_path(name, tmp_path)
     with open(path, encoding="utf-8") as fh:
         built = build_graph(parse_edge_list(fh))
-    loaded = load_edge_list(path)
-    assert built.labels == loaded.labels
-    assert built.offsets.tolist() == loaded.offsets.tolist()
-    assert built.neighbors.tolist() == loaded.neighbors.tolist()
+    # load_fixture reads the bundled file through load_edge_list as well
+    loads = [load_edge_list(path)] + ([load_fixture(name)] if name in FIXTURES else [])
+    for loaded in loads:
+        assert built.labels == loaded.labels
+        assert built.offsets.tolist() == loaded.offsets.tolist()
+        assert built.neighbors.tolist() == loaded.neighbors.tolist()

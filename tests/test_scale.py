@@ -1,0 +1,52 @@
+"""Closed forms and route agreement at n = 20,000-80,000, a size the n <= 64
+criteria never reach, on the benchmark's own Holme-Kim generator."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from tricent.algebraic import triangle_centrality_algebraic
+from tricent.centrality import (closed_form_tc, triangle_centrality,
+                                triangle_centrality_basic)
+from tricent.generators import clique_ring
+from tricent.graph import build_graph
+from tricent.parallel import parallel_triangle_centrality
+
+TOL = 1e-12
+
+# the benchmark's generators, loaded by path under their own module name
+_GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+
+def test_large_clique_ring_meets_closed_form():
+    p, k = 20000, 5
+    g, roles = clique_ring(p, k)
+    assert g.n == 80_000
+    scores = triangle_centrality(g).scores
+    for role, labels in roles.items():
+        want = float(closed_form_tc("clique-ring", k=k, p=p, role=role))
+        got = scores[[g.id_of(label) for label in labels]]
+        assert np.max(np.abs(got - want)) <= TOL
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_routes_agree_on_holme_kim(seed):
+    edges = gen.holme_kim(20000, 5, 0.8, seed)
+    g = build_graph(zip(edges.a.tolist(), edges.b.tolist()))
+    ref = triangle_centrality(g)
+    for alt in (triangle_centrality_basic(g), triangle_centrality_algebraic(g)):
+        assert alt.tri_total == ref.tri_total
+        assert np.max(np.abs(alt.scores - ref.scores)) <= TOL
+    par, _ = parallel_triangle_centrality(g)
+    assert np.array_equal(par.scores, ref.scores)  # bitwise
+    # triangle total from scipy, sharing no code with the kernels
+    a = sp.csr_matrix((np.ones(2 * g.m, dtype=np.int64), g.neighbors, g.offsets),
+                      shape=(g.n, g.n))
+    assert ref.tri_total == int((a @ a).multiply(a).sum()) // 6
+    assert ref.tri_total > 0

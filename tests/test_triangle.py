@@ -123,8 +123,7 @@ def test_per_edge_counts_align_with_marks(small_random_suite):
         for v in range(g.n):
             nv = set(g.neighbors_of(v).tolist())
             lo, hi = adj.prefix_offsets[v], adj.prefix_offsets[v + 1]
-            start = adj.offsets[v]
-            higher = adj.nbr[start:start + adj.prefix_len[v]].tolist()
+            higher = adj.higher[lo:hi].tolist()
             for u, c in zip(higher, stats.per_edge[lo:hi].tolist()):
                 assert c == len(nv & set(g.neighbors_of(u).tolist()))
 
