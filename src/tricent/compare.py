@@ -7,7 +7,6 @@ skips). Top-k sets truncate tie groups at the k boundary in label order.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,65 +15,71 @@ import numpy as np
 from .centrality import CentralityVector, triangle_centrality
 from .errors import InputError
 
+TOL = 1e-10         # convergence threshold of eigenvector and PageRank
+MAX_ITER = 10_000   # iteration cap of eigenvector and PageRank
+DAMPING = 0.85      # PageRank damping factor
+TIE_EPS = 1e-9      # relative score gap below which rank_vertices ties
+
 
 def degree_centrality(g):
     return CentralityVector(scores=g.degrees.astype(np.float64), method="DC")
 
 
+def _rows(g):
+    """The graph's neighbour rows as plain lists, for per-element BFS work."""
+    nbrs, bounds = g.neighbors.tolist(), g.offsets.tolist()
+    return [nbrs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _bfs(rows, s):
+    """Vertices reached from s in visit order, and every vertex's distance
+    from s (-1 where unreached)."""
+    dist = [-1] * len(rows)
+    dist[s] = 0
+    order = [s]
+    for v in order:  # the list is the queue: the loop reaches each append
+        d = dist[v] + 1
+        for w in rows[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                order.append(w)
+    return order, dist
+
+
 def closeness_centrality(g):
     """Inverse mean distance, computed per connected component with the
     component-local vertex count; isolated vertices score 0."""
-    n = g.n
-    scores = np.zeros(n)
-    for s in range(n):
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        q = deque([s])
-        reached = 0
-        total = 0
-        while q:
-            v = q.popleft()
-            for w in g.neighbors_of(v).tolist():
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    total += dist[w]
-                    reached += 1
-                    q.append(w)
-        scores[s] = reached / total if total else 0.0
+    rows = _rows(g)
+    scores = np.zeros(g.n)
+    for s in range(g.n):
+        order, dist = _bfs(rows, s)
+        total = sum(dist[v] for v in order)
+        scores[s] = (len(order) - 1) / total if total else 0.0
     return CentralityVector(scores=scores, method="CC")
 
 
 def betweenness_centrality(g):
-    """Shortest-path betweenness by per-source BFS with dependency
-    accumulation; undirected halving applied at the end."""
+    """Brandes' shortest-path betweenness: per source, path counts forward and
+    dependencies backward over the BFS visit order; undirected halving at the
+    end."""
+    rows = _rows(g)
     n = g.n
-    scores = np.zeros(n)
+    scores = [0.0] * n
     for s in range(n):
-        stack = []
-        preds = [[] for _ in range(n)]
-        sigma = np.zeros(n)
+        order, dist = _bfs(rows, s)
+        sigma = [0.0] * n
         sigma[s] = 1.0
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            stack.append(v)
-            for w in g.neighbors_of(v).tolist():
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = np.zeros(n)
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                scores[w] += delta[w]
-    return CentralityVector(scores=scores / 2.0, method="BC")
+        for w in order[1:]:
+            d = dist[w] - 1
+            sigma[w] = sum(sigma[v] for v in rows[w] if dist[v] == d)
+        delta = [0.0] * n
+        for w in reversed(order[1:]):
+            d = dist[w] - 1
+            for v in rows[w]:
+                if dist[v] == d:
+                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            scores[w] += delta[w]
+    return CentralityVector(scores=np.array(scores) / 2.0, method="BC")
 
 
 def _adjacency_product(g):
@@ -83,21 +88,21 @@ def _adjacency_product(g):
     return lambda x: np.bincount(rows, weights=x[g.neighbors], minlength=g.n)
 
 
-def _power_iterate(product, n, tol, max_iter):
+def _power_iterate(product, n):
     x = np.ones(n) / math.sqrt(n)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         y = product(x)
         norm = np.linalg.norm(y)
         if norm == 0.0:
             return np.zeros(n), False
         y /= norm
-        if np.max(np.abs(y - x)) < tol:
+        if np.max(np.abs(y - x)) < TOL:
             return y, True
         x = y
     return x, False
 
 
-def eigenvector_centrality(g, tol=1e-10, max_iter=10000):
+def eigenvector_centrality(g):
     """Power iteration on the adjacency matrix with 2-norm normalization.
 
     Bipartite-like oscillation gets one shifted retry on A + I; persistent
@@ -106,13 +111,13 @@ def eigenvector_centrality(g, tol=1e-10, max_iter=10000):
     if g.n == 0:
         return CentralityVector(scores=np.zeros(0), method="EV")
     product = _adjacency_product(g)
-    x, ok = _power_iterate(product, g.n, tol, max_iter)
+    x, ok = _power_iterate(product, g.n)
     if not ok:
-        x, ok = _power_iterate(lambda x: product(x) + x, g.n, tol, max_iter)
+        x, ok = _power_iterate(lambda x: product(x) + x, g.n)
     return CentralityVector(scores=np.abs(x), method="EV", converged=ok)
 
 
-def pagerank(g, damping=0.85, tol=1e-10, max_iter=10000):
+def pagerank(g):
     """Damped random walk with uniform redistribution of dangling mass."""
     n = g.n
     if n == 0:
@@ -123,10 +128,10 @@ def pagerank(g, damping=0.85, tol=1e-10, max_iter=10000):
     product = _adjacency_product(g)
     v = np.ones(n) / n
     ok = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         spread = product(v / safe)
-        nxt = (1.0 - damping) / n + damping * (spread + v[dangling].sum() / n)
-        if np.abs(nxt - v).sum() < tol:
+        nxt = (1.0 - DAMPING) / n + DAMPING * (spread + v[dangling].sum() / n)
+        if np.abs(nxt - v).sum() < TOL:
             v = nxt
             ok = True
             break
@@ -144,30 +149,26 @@ MEASURES = {
 }
 
 
-def compute_all(g, measures=None):
-    names = measures or list(MEASURES)
-    return {name: MEASURES[name](g) for name in names}
+def compute_all(g):
+    return {name: measure(g) for name, measure in MEASURES.items()}
 
 
 @dataclass
 class Ranking:
-    """Vertices best-first with competition ranks and tie groups."""
+    """Vertices best-first with competition ranks; a tie group is a maximal
+    run of equal rank in ``order``."""
 
     order: np.ndarray       # vertex ids, best first (ties by label)
     rank: np.ndarray        # 1-based competition rank per vertex
     scores: np.ndarray
-    groups: list            # tie groups as lists of vertex ids, best first
 
     def top(self, k):
         return [int(v) for v in self.order[:k]]
 
-    def top_set(self, k):
-        return set(self.top(k))
 
-
-def rank_vertices(cv, eps=1e-9):
-    """Deterministic ranking of a CentralityVector (or raw score array)."""
-    scores = cv.scores if isinstance(cv, CentralityVector) else np.asarray(cv, dtype=np.float64)
+def rank_vertices(cv):
+    """Deterministic ranking of a CentralityVector."""
+    scores = cv.scores
     n = scores.shape[0]
     order = np.argsort(-scores, kind="stable")
     ranked = scores[order]
@@ -175,7 +176,7 @@ def rank_vertices(cv, eps=1e-9):
     # of the previous vertex's in rank order
     opens = np.ones(n, dtype=bool)
     prev, cur = ranked[:-1], ranked[1:]
-    opens[1:] = ~(np.abs(prev - cur) <= eps * np.maximum(np.abs(prev), np.abs(cur)))
+    opens[1:] = ~(np.abs(prev - cur) <= TIE_EPS * np.maximum(np.abs(prev), np.abs(cur)))
     starts = np.flatnonzero(opens)
     group = np.cumsum(opens) - 1
     rank = np.empty(n, dtype=np.int64)
@@ -183,10 +184,7 @@ def rank_vertices(cv, eps=1e-9):
     # each tie group by label: the key is already sorted outside tie groups,
     # and numpy's stable sort, which merges sorted runs, is near linear on it
     order = order[np.argsort(group * n + order, kind="stable")]
-    order_list = order.tolist()
-    bounds = starts.tolist() + [n]
-    groups = [order_list[i:j] for i, j in zip(bounds, bounds[1:])]
-    return Ranking(order=order, rank=rank, scores=scores.copy(), groups=groups)
+    return Ranking(order=order, rank=rank, scores=scores.copy())
 
 
 def top_k_jaccard(r1, r2, k=10):
@@ -195,13 +193,13 @@ def top_k_jaccard(r1, r2, k=10):
         raise InputError(f"k must be >= 1, got {k}")
     if r1.order.shape[0] < k or r2.order.shape[0] < k:
         raise InputError(f"rankings must cover at least k={k} vertices")
-    s1, s2 = r1.top_set(k), r2.top_set(k)
+    s1, s2 = set(r1.top(k)), set(r2.top(k))
     inter = len(s1 & s2)
     return Fraction(inter, len(s1) + len(s2) - inter)
 
 
-def best_jaccard_competitor(measure, rankings, k=10):
-    """Closest competitor by top-k Jaccard.
+def best_jaccard_competitor(measure, rankings):
+    """Closest competitor by top-10 Jaccard.
 
     Ties between competitors resolve by walking down the reference measure's
     ranked list: prefer the competitor ranking the current vertex strictly
@@ -212,7 +210,7 @@ def best_jaccard_competitor(measure, rankings, k=10):
     for name, rk in rankings.items():
         if name == measure:
             continue
-        scored.append((top_k_jaccard(ref, rk, k), name))
+        scored.append((top_k_jaccard(ref, rk), name))
     top_j = max(j for j, _ in scored)
     tied = [name for j, name in scored if j == top_j]
     if len(tied) > 1:
@@ -246,16 +244,12 @@ class DotMatrix:
         """Graphs where this measure agreed with no competitor."""
         return int((~self.cells.any(axis=1)).sum())
 
-    @property
-    def full_rows(self):
-        return int(self.cells.all(axis=1).sum())
 
-
-def agreement_dot_matrices(rankings_by_graph, measures=None):
-    """One DotMatrix per measure from {graph: {measure: Ranking}}."""
+def agreement_dot_matrices(rankings_by_graph):
+    """One DotMatrix per measure from {graph: {measure: Ranking}}; the first
+    graph's measures name the matrices."""
     graphs = list(rankings_by_graph)
-    if measures is None:
-        measures = list(next(iter(rankings_by_graph.values()))) if graphs else []
+    measures = list(rankings_by_graph[graphs[0]]) if graphs else []
     tops = {
         gname: {m: int(rks[m].order[0]) for m in measures}
         for gname, rks in rankings_by_graph.items()

@@ -9,7 +9,8 @@ round 4 folds the tagged counts into scores. Communication is metered per
 round as (key fields + value fields) x 64 bits over newly materialized
 records: reduce emissions, transforming map emissions (round 1's orientation
 filter, round 3's edge re-injection), and the global-count side channel.
-Identity map pass-throughs move nothing and cost nothing.
+Identity map pass-throughs move nothing and cost nothing. Every stream has one
+record shape, so its bits are its record count times that shape's width.
 
 Record shapes (vertex ids are internal, pair keys sorted ascending):
   round 1 map:     (v, u)
@@ -37,18 +38,6 @@ class RoundStats:
     map_records: int
     reduce_records: int
     est_bits: int
-
-
-def _fields(rec):
-    """Number of scalar fields in a record (tuples flattened one level)."""
-    total = 0
-    for part in rec:
-        total += len(part) if isinstance(part, tuple) else 1
-    return total
-
-
-def _bits(records):
-    return sum(_fields(r) for r in records) * RECORD_BITS
 
 
 def annotate_edges(g):
@@ -92,7 +81,8 @@ def mr_round1(records):
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 out.append(((nbrs[i], nbrs[j]), v))
-    stats = RoundStats(1, len(mapped), len(out), _bits(mapped) + _bits(out))
+    stats = RoundStats(1, len(mapped), len(out),
+                       (2 * len(mapped) + 3 * len(out)) * RECORD_BITS)
     return out, stats
 
 
@@ -109,7 +99,7 @@ def mr_round2(records):
                 continue
             out += [(v, (a, 1)), (a, (v, 1)), (v, (b, 1)),
                     (b, (v, 1)), (a, (b, 1)), (b, (a, 1))]
-    stats = RoundStats(2, len(mapped), len(out), _bits(out))
+    stats = RoundStats(2, len(mapped), len(out), 3 * len(out) * RECORD_BITS)
     return out, stats
 
 
@@ -139,7 +129,7 @@ def mr_round3(records, edge_records):
     total = tri_sum // 3
     broadcast_bits = n_keys * 2 * RECORD_BITS  # side-channel aggregation
     stats = RoundStats(3, len(mapped), len(out),
-                       _bits(injected) + _bits(out) + broadcast_bits)
+                       3 * (len(injected) + len(out)) * RECORD_BITS + broadcast_bits)
     return out, total, stats
 
 
@@ -154,7 +144,7 @@ def mr_round4(records, total, n):
         score = float(x + 3 * y) / float(3 * total) if total else 0.0
         scores[v] = score
         out.append((v, score))
-    stats = RoundStats(4, len(mapped), len(out), _bits(out))
+    stats = RoundStats(4, len(mapped), len(out), 2 * len(out) * RECORD_BITS)
     cv = CentralityVector(scores=scores, method="mapreduce", tri_total=total,
                           triangle_free=(total == 0))
     return cv, stats

@@ -422,10 +422,13 @@ def hash_intersection_tri_neighbors(adj):
     return TriangleNeighborhood([sorted(s) for s in accum])
 
 
-def brute_force_triangles(g, limit=256):
+BRUTE_FORCE_LIMIT = 256  # the all-triple oracle refuses more vertices
+
+
+def brute_force_triangles(g):
     """Exhaustive all-triple oracle; refuses graphs above the size guard."""
-    if g.n > limit:
-        raise InputError(f"brute-force oracle limited to {limit} vertices, got {g.n}")
+    if g.n > BRUTE_FORCE_LIMIT:
+        raise InputError(f"brute-force oracle limited to {BRUTE_FORCE_LIMIT} vertices, got {g.n}")
     n = g.n
     nbr_sets = [set(g.neighbors_of(v).tolist()) for v in range(n)]
     tri = np.zeros(n, dtype=np.int64)

@@ -132,3 +132,20 @@ def test_k6_scores_one():
     g, _ = clique(6)
     cv, _ = run_mapreduce_tc(g)
     assert np.all(np.abs(cv.scores - 1.0) <= 1e-12)
+
+
+# (map_records, reduce_records, est_bits) per round, pinned from the
+# record-walking meter that each stream's fixed record width replaced
+GOLDEN_ROUNDS = {
+    "borgatti": [(32, 53, 14272), (53, 78, 14976), (142, 83, 30656), (83, 19, 2432)],
+    "karate": [(78, 147, 38208), (147, 270, 51840), (426, 190, 70784), (190, 34, 4352)],
+    "dolphins": [(159, 360, 89472), (360, 570, 109440), (888, 380, 141952), (380, 62, 7936)],
+    "hijackers": [(153, 315, 80064), (315, 798, 153216), (1104, 368, 137344), (368, 62, 7936)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROUNDS))
+def test_round_stats_match_golden_values(name):
+    _, stats = run_mapreduce_tc(load_fixture(name))
+    got = [(s.map_records, s.reduce_records, s.est_bits) for s in stats]
+    assert got == GOLDEN_ROUNDS[name]

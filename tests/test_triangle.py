@@ -9,9 +9,9 @@ from tricent.centrality import tc_from_triangles, triangle_centrality
 from tricent.errors import InputError
 from tricent.generators import book_with_satellite, clique, load_fixture
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
-from tricent.triangle import (MergeTally, _hash_buckets, _hash_counts, _hash_find,
-                              _hash_table, _merge_counts, _prefix_lists, _prefix_pairs,
-                              brute_force_triangles, edge_count_arrays,
+from tricent.triangle import (BRUTE_FORCE_LIMIT, MergeTally, _hash_buckets, _hash_counts,
+                              _hash_find, _hash_table, _merge_counts, _prefix_lists,
+                              _prefix_pairs, brute_force_triangles, edge_count_arrays,
                               hash_intersection_tri_neighbors,
                               hash_neighbor_pair_count,
                               hash_neighbor_pair_tri_neighbors,
@@ -301,4 +301,4 @@ def test_brute_force_guard_and_small_cases():
     assert brute_force_triangles(k_n(5))[0].total == 10
     assert brute_force_triangles(path(3))[0].total == 0
     with pytest.raises(InputError):
-        brute_force_triangles(k_n(10), limit=9)
+        brute_force_triangles(path(BRUTE_FORCE_LIMIT + 1))
