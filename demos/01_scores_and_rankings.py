@@ -18,12 +18,12 @@ ranking = rank_vertices(cv)
 print("\ntop five by triangle centrality:")
 for v in ranking.top(5):
     print(f"  vertex {g.label_of(v):>2}  score {cv.scores[v]:.6f}  "
-          f"degree {g.degree(v)}")
+          f"degree {g.degrees[v]}")
 
 # The instructor (1) and administrator (34) dominate every degree-driven
 # measure, yet vertex 14 sits where the triangles concentrate: it touches
 # both factions of the club.
 v14 = g.id_of(14)
-print(f"\nvertex 14: degree {g.degree(v14)}, rank {ranking.rank[v14]}")
+print(f"\nvertex 14: degree {g.degrees[v14]}, rank {ranking.rank[v14]}")
 v34 = g.id_of(34)
-print(f"vertex 34: degree {g.degree(v34)}, rank {ranking.rank[v34]}")
+print(f"vertex 34: degree {g.degrees[v34]}, rank {ranking.rank[v34]}")

@@ -21,14 +21,13 @@ from .generators import (FIXTURES, GEN_FAMILIES, book_with_satellite,
                          clique_chain, clique_ring, clique_star_hub,
                          disjoint_cliques, generate_fixture, load_fixture,
                          lone_triangle, star_triangle_hub, triad_hub)
-from .graph import (Graph, OrderedAdjacency, VertexOrder,
-                    build_abbreviated_adjacency, build_graph, degree_order,
-                    dump_edge_list, load_edge_list, parse_edge_list)
+from .graph import (Graph, OrderedAdjacency, build_abbreviated_adjacency,
+                    build_graph, degree_order, dump_edge_list, load_edge_list,
+                    parse_edge_list)
 from .mapreduce import RoundStats, run_mapreduce_tc
 from .parallel import (ParallelConfig, WorkCounters, parallel_triangle_centrality,
                        work_report)
-from .triangle import (MergeTally, TriangleMarks, TriangleNeighborhood,
-                       TriangleStats, brute_force_triangles,
+from .triangle import (MergeTally, TriangleStats, brute_force_triangles,
                        hash_intersection_tri_neighbors, hash_neighbor_pair_count,
                        hash_neighbor_pair_tri_neighbors,
                        materialize_triangle_neighbors, triangle_neighbor,

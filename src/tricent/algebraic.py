@@ -36,8 +36,7 @@ def build_triangle_matrix(g):
     """Symmetric CSR matrix of per-edge triangle counts via enumeration."""
     import scipy.sparse as sp
 
-    order = degree_order(g)
-    adj = build_abbreviated_adjacency(g, order)
+    adj = build_abbreviated_adjacency(g, degree_order(g))
     stats, _ = _stats_and_marks(adj, wedge_counts(adj), per_edge=True)
     i, j, c = edge_count_arrays(adj, stats)
     return sp.csr_matrix((c, (i, j)), shape=(g.n, g.n))

@@ -51,9 +51,9 @@ def _neighbor_sums(g, per_vertex):
 def tc_from_triangles(g, stats, neighborhood=None, adj=None, marks=None, method="main"):
     """Second phase: fold triangle counts into scores.
 
-    Accepts either explicit neighbor lists or (adj, marks), in which case the
-    core sums accumulate symmetrically over marked prefix entries without
-    materializing lists.
+    Accepts either explicit neighbor lists (one list of triangle neighbors
+    per vertex) or (adj, marks), in which case the core sums accumulate
+    symmetrically over marked prefix entries without materializing lists.
     """
     tri = stats.per_vertex
     if stats.total == 0:
@@ -61,9 +61,9 @@ def tc_from_triangles(g, stats, neighborhood=None, adj=None, marks=None, method=
                                 triangle_free=True)
     # (src, dst): one row per ordered triangle-neighbor pair
     if neighborhood is not None:
-        lists = neighborhood.lists
-        src = np.repeat(np.arange(g.n, dtype=np.int64), [len(row) for row in lists])
-        dst = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=src.shape[0])
+        src = np.repeat(np.arange(g.n, dtype=np.int64), [len(row) for row in neighborhood])
+        dst = np.fromiter(chain.from_iterable(neighborhood), dtype=np.int64,
+                          count=src.shape[0])
     elif adj is not None and marks is not None:
         src, dst = marked_pairs(adj, marks)
     else:
@@ -80,16 +80,14 @@ def triangle_centrality(g):
     """Production pipeline: degree order, abbreviated adjacency, per-edge
     triangle counts from the blocked wedge-check kernel, the counts and marks
     derived from them, then the score fold over marks."""
-    order = degree_order(g)
-    adj = build_abbreviated_adjacency(g, order)
+    adj = build_abbreviated_adjacency(g, degree_order(g))
     stats, marks = _stats_and_marks(adj, wedge_counts(adj), per_edge=False)
     return tc_from_triangles(g, stats, adj=adj, marks=marks, method="main")
 
 
 def triangle_centrality_basic(g):
     """Reference pipeline over hash-based detection and explicit lists."""
-    order = degree_order(g)
-    adj = build_abbreviated_adjacency(g, order)
+    adj = build_abbreviated_adjacency(g, degree_order(g))
     stats, nbh = hash_neighbor_pair_tri_neighbors(g, adj)
     return tc_from_triangles(g, stats, neighborhood=nbh, method="basic")
 

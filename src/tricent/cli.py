@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebraic import triangle_centrality_algebraic
 from .centrality import triangle_centrality, triangle_centrality_basic
-from .compare import compute_all, rank_vertices, top_k_jaccard
+from .compare import EXACT_PATH_LIMIT, compute_all, rank_vertices, top_k_jaccard
 from .errors import ConsistencyError, InputError
 from .generators import GEN_FAMILIES, generate_fixture
 from .graph import dump_edge_list, load_edge_list
@@ -46,7 +46,9 @@ def _build_parser():
     pc.add_argument("--stats", action="store_true", help="print work counters to stderr")
     pc.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
-    pp = sub.add_parser("compare", help="compare against classical measures")
+    pp = sub.add_parser("compare", help="compare against classical measures; exact "
+                        "closeness and betweenness refuse graphs with n*m over "
+                        f"{EXACT_PATH_LIMIT} (exit 1)")
     pp.add_argument("path")
     pp.add_argument("--k", type=int, default=10)
 
@@ -72,7 +74,7 @@ def _emit_scores(g, cv, fmt, out):
     labels = list(map(g.labels.__getitem__, ranking.order.tolist()))
     # scores take few values: repr each distinct one (distinct in its bits,
     # so -0.0 keeps its sign) and gather the strings back
-    bits, inverse = np.unique(ranking.scores[ranking.order].astype(float).view(np.int64),
+    bits, inverse = np.unique(cv.scores[ranking.order].astype(float).view(np.int64),
                               return_inverse=True)
     text = list(map(repr, bits.view(np.float64).tolist()))
     scores = map(text.__getitem__, inverse.tolist())

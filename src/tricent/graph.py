@@ -14,7 +14,6 @@ CSR step, ``_graph_from_ids``.
 
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +36,6 @@ class Graph:
     @property
     def degrees(self):
         return np.diff(self.offsets)
-
-    def degree(self, v):
-        return int(self.offsets[v + 1] - self.offsets[v])
 
     def neighbors_of(self, v):
         return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
@@ -171,11 +167,14 @@ def _code_text(text, source):
     """Labels and endpoint ids of an edge-list text: ``(labels, ids)``, with
     ``ids`` flat as ``[a1, b1, a2, b2, ...]``.
 
-    Comment lines (first non-blank character ``#``) and blank lines are
-    ignored. The labels are ints when ``int()`` accepts every token (tokens
-    of one value, such as ``007`` and ``7``, are one label), and strings
-    otherwise.
+    One leading byte-order mark (U+FEFF) is dropped; any other stays part of
+    its token. Comment lines (first non-blank character ``#``) and blank
+    lines are ignored. The labels are ints when ``int()`` accepts every token
+    (tokens of one value, such as ``007`` and ``7``, are one label), and
+    strings otherwise.
     """
+    if text.startswith("\ufeff"):
+        text = text[1:]
     if "#" in text:
         text = _COMMENT.sub("", text)  # blanks each comment line, keeping line numbers
     distinct, ids = _code_tokens(text, source)
@@ -214,19 +213,15 @@ def build_graph(edge_list):
     return _graph_from_ids(*_code_labels([x for a, b in edge_list for x in (a, b)]))
 
 
-def parse_edge_list(lines, source="<input>"):
-    """Parse edge-list text: two whitespace-separated tokens per line.
+def parse_edge_list(fh, source="<input>"):
+    """Parse the edge-list text of the open text stream ``fh`` into a list of
+    label pairs: two whitespace-separated tokens per line.
 
-    ``lines`` is an open text file or an iterable of lines, with or without
-    their newlines. Lines starting with ``#`` and blank lines are ignored.
-    Integer tokens are used as int labels when every token in the input is
-    integral; otherwise all labels stay strings.
+    Lines starting with ``#`` and blank lines are ignored. Integer tokens are
+    used as int labels when every token in the input is integral; otherwise
+    all labels stay strings.
     """
-    if hasattr(lines, "read"):
-        text = lines.read()
-    else:
-        text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
-    labels, ids = _code_text(text, source)
+    labels, ids = _code_text(fh.read(), source)
     ends = np.array(labels, dtype=object)[ids]
     return list(zip(ends[0::2].tolist(), ends[1::2].tolist()))
 
@@ -268,27 +263,22 @@ def dump_edge_list(g, file):
         file.write(f"{a} {b}\n")
 
 
-@dataclass(frozen=True)
-class VertexOrder:
-    """Total order by ascending degree, ties by ascending label.
-
-    ``rank[v]`` is v's position in the order; ``order[p]`` is the vertex at
-    position p (the inverse permutation).
-    """
-
-    rank: np.ndarray
-    order: np.ndarray
+def row_lists(flat, offsets):
+    """The rows of a compressed array pair as plain lists: row v is
+    ``flat[offsets[v]:offsets[v + 1]]``. Plain ints index faster than numpy
+    scalars in per-element loops."""
+    flat, offsets = flat.tolist(), offsets.tolist()
+    return [flat[a:b] for a, b in zip(offsets, offsets[1:])]
 
 
 def degree_order(g):
-    """Degree ordering: position by (degree, label); deterministic."""
-    deg = g.degrees
+    """Degree ordering as an int64 rank array: ``rank[v]`` is v's position
+    in the order by ascending (degree, label); deterministic."""
     # internal ids are already in label-sorted order, so a stable sort on
     # degree alone realizes the (degree, label) tiebreak
-    order = np.argsort(deg, kind="stable").astype(np.int64)
     rank = np.empty(g.n, dtype=np.int64)
-    rank[order] = np.arange(g.n, dtype=np.int64)
-    return VertexOrder(rank=rank, order=order)
+    rank[np.argsort(g.degrees, kind="stable")] = np.arange(g.n, dtype=np.int64)
+    return rank
 
 
 class OrderedAdjacency:
@@ -319,12 +309,13 @@ class OrderedAdjacency:
         return self._graph.neighbors_of(v)
 
 
-def build_abbreviated_adjacency(g, order):
-    """Orient every edge of ``g`` toward its higher-ordered endpoint.
+def build_abbreviated_adjacency(g, rank):
+    """Orient every edge of ``g`` toward its endpoint ranked higher in
+    ``rank`` (from :func:`degree_order`).
 
     The graph's arcs (v, u) run by v and each row ascends by id, so the arcs
     with u ranked above v are exactly the packed prefixes, in entry order.
     """
     src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    up = order.rank[g.neighbors] > order.rank[src]
-    return OrderedAdjacency(g, src[up], g.neighbors[up], order.rank)
+    up = rank[g.neighbors] > rank[src]
+    return OrderedAdjacency(g, src[up], g.neighbors[up], rank)

@@ -24,47 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .graph import row_lists
 
 
 @dataclass
 class TriangleStats:
     """Per-vertex counts, the global count, and optional per-edge counts.
 
-    ``per_edge`` is aligned with :class:`TriangleMarks` ``bits``: one count
-    per packed prefix entry, so the count of triangles on edge {u,v} sits at
-    the lower-ordered endpoint's prefix entry for the other. Use
-    :func:`edge_count_arrays` for the symmetric view.
+    ``per_edge`` holds one count per packed prefix entry, so the count of
+    triangles on edge {u,v} sits at the lower-ordered endpoint's prefix entry
+    for the other. Use :func:`edge_count_arrays` for the symmetric view.
     """
 
     per_vertex: np.ndarray
     total: int
     per_edge: np.ndarray | None = None
-
-
-@dataclass
-class TriangleMarks:
-    """Bit arrays over the packed prefixes: bit set iff that prefix entry is a
-    higher-ordered triangle neighbor of the row vertex."""
-
-    bits: np.ndarray
-
-
-class TriangleNeighborhood:
-    """Symmetric per-vertex triangle-neighbor lists, sorted, duplicate-free."""
-
-    __slots__ = ("lists",)
-
-    def __init__(self, lists):
-        self.lists = lists
-
-    def __getitem__(self, v):
-        return self.lists[v]
-
-    def __len__(self):
-        return len(self.lists)
-
-    def __eq__(self, other):
-        return isinstance(other, TriangleNeighborhood) and self.lists == other.lists
 
 
 @dataclass
@@ -75,20 +49,14 @@ class MergeTally:
     triangles: int = 0
 
 
-def _prefix_lists(adj):
-    flat = adj.higher.tolist()
-    poff = adj.prefix_offsets.tolist()
-    return [flat[a:b] for a, b in zip(poff, poff[1:])]
-
-
 def _merge_counts(prefixes, poff, counts):
     """Merge-intersect every packed prefix entry, in order, into ``counts``.
 
     ``prefixes`` and ``poff`` are an OrderedAdjacency's prefixes and
-    ``prefix_offsets`` as Python lists (plain ints index faster than numpy
-    scalars). Entry ``poff[v] + i`` is the prefix edge (v, prefixes[v][i]),
-    and ``counts`` is a list with one slot per entry: each triangle found adds
-    1 at its three edges. One pass in one thread; returns the number of merge
+    ``prefix_offsets`` as Python lists (see :func:`~tricent.graph.row_lists`).
+    Entry ``poff[v] + i`` is the prefix edge (v, prefixes[v][i]), and
+    ``counts`` is a list with one slot per entry: each triangle found adds 1
+    at its three edges. One pass in one thread; returns the number of merge
     comparisons.
     """
     comparisons = 0
@@ -280,7 +248,8 @@ def _hash_counts(adj):
 def _stats_and_marks(adj, counts, per_edge):
     """Stats and marks from the kernel's per-entry triangle counts: a triangle
     at v lies on two of v's edges and on three edges in all, and an entry is a
-    triangle-neighbor pair iff its count is positive."""
+    triangle-neighbor pair iff its count is positive. The marks are a bool
+    array over the m prefix entries."""
     counts = np.asarray(counts, dtype=np.int64)
     e = np.flatnonzero(counts)
     v, u = adj.lower[e], adj.higher[e]
@@ -291,7 +260,7 @@ def _stats_and_marks(adj, counts, per_edge):
     stats = TriangleStats(per_vertex=halves.astype(np.int64) // 2,
                           total=int(counts.sum()) // 3,
                           per_edge=counts if per_edge else None)
-    return stats, TriangleMarks(bits=counts > 0)
+    return stats, counts > 0
 
 
 def triangle_neighbor(adj, tally=None, per_edge=True):
@@ -302,7 +271,8 @@ def triangle_neighbor(adj, tally=None, per_edge=True):
     from those counts.
     """
     counts = [0] * adj.m
-    comparisons = _merge_counts(_prefix_lists(adj), adj.prefix_offsets.tolist(), counts)
+    poff = adj.prefix_offsets
+    comparisons = _merge_counts(row_lists(adj.higher, poff), poff.tolist(), counts)
     stats, marks = _stats_and_marks(adj, counts, per_edge)
     if tally is not None:
         tally.merge_comparisons += comparisons
@@ -311,18 +281,20 @@ def triangle_neighbor(adj, tally=None, per_edge=True):
 
 
 def marked_pairs(adj, marks):
-    """Arrays ``(src, dst)`` holding every marked prefix entry (v, u) in both
-    directions: one row per ordered pair of triangle neighbors."""
-    v, u = adj.lower[marks.bits], adj.higher[marks.bits]
+    """Arrays ``(src, dst)`` holding every prefix entry (v, u) that ``marks``
+    selects (a bool array or an index over the entries) in both directions:
+    one row per ordered pair of triangle neighbors."""
+    v, u = adj.lower[marks], adj.higher[marks]
     return np.concatenate((v, u)), np.concatenate((u, v))
 
 
 def materialize_triangle_neighbors(adj, marks):
-    """Expand marks into explicit symmetric neighbor lists."""
+    """Expand marks into symmetric triangle-neighbor lists, one sorted list
+    per vertex."""
     src, dst = marked_pairs(adj, marks)
-    flat = dst[np.argsort(src * adj.n + dst)].tolist()
-    ends = np.cumsum(np.bincount(src, minlength=adj.n)).tolist()
-    return TriangleNeighborhood([flat[a:b] for a, b in zip([0] + ends, ends)])
+    offsets = np.zeros(adj.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=adj.n), out=offsets[1:])
+    return row_lists(dst[np.argsort(src * adj.n + dst)], offsets)
 
 
 def triangle_neighbor_alt(adj):
@@ -337,7 +309,7 @@ def triangle_neighbor_alt(adj):
     tri2 = np.zeros(n, dtype=np.int64)  # doubled counts
     total2 = 0
     lists = [[] for _ in range(n)]
-    prefixes = _prefix_lists(adj)
+    prefixes = row_lists(adj.higher, adj.prefix_offsets)
     prefix_index = [{u: i for i, u in enumerate(p)} for p in prefixes]
     for v in range(n):
         pv = prefixes[v]
@@ -378,7 +350,7 @@ def triangle_neighbor_alt(adj):
     for row in lists:
         row.sort()
     stats = TriangleStats(per_vertex=tri2 // 2, total=total2 // 2)
-    return stats, TriangleNeighborhood(lists)
+    return stats, lists
 
 
 def hash_neighbor_pair_count(g, adj):
@@ -401,9 +373,9 @@ def hash_neighbor_pair_tri_neighbors(g, adj):
 
 def hash_intersection_tri_neighbors(adj):
     """Set-intersection variant over hashed prefixes; probes the smaller set
-    into the larger. Returns the triangle neighborhood only."""
+    into the larger. Returns the triangle-neighbor lists only."""
     n = adj.n
-    prefixes = _prefix_lists(adj)
+    prefixes = row_lists(adj.higher, adj.prefix_offsets)
     prefix_sets = [set(p) for p in prefixes]
     accum = [set() for _ in range(n)]
     for v in range(n):
@@ -419,7 +391,7 @@ def hash_intersection_tri_neighbors(adj):
                     accum[v].add(u)
                     accum[u].add(w)
                     accum[v].add(w)
-    return TriangleNeighborhood([sorted(s) for s in accum])
+    return [sorted(s) for s in accum]
 
 
 BRUTE_FORCE_LIMIT = 256  # the all-triple oracle refuses more vertices
@@ -450,7 +422,7 @@ def brute_force_triangles(g):
                     tri_nbrs[j].update((i, k))
                     tri_nbrs[k].update((i, j))
     stats = TriangleStats(per_vertex=tri, total=total)
-    return stats, TriangleNeighborhood([sorted(s) for s in tri_nbrs])
+    return stats, [sorted(s) for s in tri_nbrs]
 
 
 def edge_count_arrays(adj, stats):
@@ -459,6 +431,5 @@ def edge_count_arrays(adj, stats):
     if stats.per_edge is None:
         raise InputError("stats carry no per-edge counts")
     e = np.flatnonzero(stats.per_edge)
-    v, u = adj.lower[e], adj.higher[e]
     c = stats.per_edge[e]
-    return np.concatenate((v, u)), np.concatenate((u, v)), np.concatenate((c, c))
+    return *marked_pairs(adj, e), np.concatenate((c, c))

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from tricent.compare import EXACT_PATH_LIMIT
 from tricent.graph import build_graph
 
 
@@ -49,3 +51,12 @@ def widest_random_graphs():
     """Three n=64 graphs at the size ceiling, one per density."""
     rng = random.Random(99)
     return [er_graph(64, p, rng) for p in (0.1, 0.3, 0.6)]
+
+
+@pytest.fixture(scope="session")
+def edges_above_exact_limit():
+    """A path plus isolated vertices (labels seen only in self-loops) whose
+    n*m is the least above EXACT_PATH_LIMIT for its edge count."""
+    m = math.isqrt(EXACT_PATH_LIMIT) // 2
+    n = EXACT_PATH_LIMIT // m + 1
+    return [(v, v + 1) for v in range(m)] + [(v, v) for v in range(m + 1, n)]

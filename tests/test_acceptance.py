@@ -195,10 +195,10 @@ def test_c07_triangle_oracle(random_suite_500):
         for s in (s1, s2, s3, s4):
             assert s.total == ref_stats.total
             assert np.array_equal(s.per_vertex, ref_stats.per_vertex)
-        assert n1.lists == ref_nbh.lists
-        assert n2.lists == ref_nbh.lists
-        assert n4.lists == ref_nbh.lists
-        assert n5.lists == ref_nbh.lists
+        assert n1 == ref_nbh
+        assert n2 == ref_nbh
+        assert n4 == ref_nbh
+        assert n5 == ref_nbh
 
 
 @criterion(8, "four rounds with exact emission counts and bit budget (c <= 8)")

@@ -130,6 +130,15 @@ def test_compare_rejects_k_below_one(capsys, karate_file):
         assert "k must be >= 1" in err
 
 
+def test_compare_refuses_graphs_above_the_exact_limit(capsys, tmp_path,
+                                                     edges_above_exact_limit):
+    path = tmp_path / "long.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in edges_above_exact_limit))
+    code, out, err = run(capsys, "compare", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: exact betweenness limited to n*m <= ")
+
+
 def test_stats_flag(capsys, karate_file):
     code, _, err = run(capsys, "compute", karate_file, "--algo", "parallel", "--stats")
     assert code == 0 and "pair-tests" in err
@@ -284,6 +293,14 @@ def test_non_utf8_stdin_exits_two(capsys, monkeypatch):
 
 def test_stdin_bytes_read_with_universal_newlines(capsys, monkeypatch):
     stdin = io.TextIOWrapper(io.BytesIO(b"1 2\r\n2 3\r1 3"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, _ = run(capsys, "compute", "-")
+    assert code == 0
+    assert out.splitlines() == ["1\t1.0", "2\t1.0", "3\t1.0"]
+
+
+def test_byte_order_mark_on_stdin_is_not_a_vertex(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf1 2\n2 3\n3 1\n"), encoding="utf-8")
     monkeypatch.setattr("sys.stdin", stdin)
     code, out, _ = run(capsys, "compute", "-")
     assert code == 0

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tricent.centrality import CentralityVector
-from tricent.compare import (agreement_dot_matrices, best_jaccard_competitor,
+from tricent.compare import (EXACT_PATH_LIMIT, agreement_dot_matrices,
+                             best_jaccard_competitor,
                              betweenness_centrality, closeness_centrality,
                              compute_all, degree_centrality,
                              eigenvector_centrality, pagerank, rank_vertices,
@@ -347,3 +348,11 @@ def test_best_jaccard_tie_walk():
     name, j = best_jaccard_competitor("ref", {"ref": ref, "close": close, "exact": exact})
     assert j == 1
     assert name == "exact"
+
+
+def test_exact_path_measures_refuse_graphs_above_the_limit(edges_above_exact_limit):
+    g = build_graph(edges_above_exact_limit)
+    assert (g.n - 1) * g.m <= EXACT_PATH_LIMIT < g.n * g.m
+    for measure in (closeness_centrality, betweenness_centrality):
+        with pytest.raises(InputError, match=r"n\*m <= "):
+            measure(g)

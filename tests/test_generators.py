@@ -45,7 +45,7 @@ def test_ring_roles():
     assert g.n == 3 * 3
     assert len(roles["joint"]) == 3
     assert len(roles["member"]) == 6
-    assert all(g.degree(g.id_of(j)) == 6 for j in roles["joint"])
+    assert all(g.degrees[g.id_of(j)] == 6 for j in roles["joint"])
 
 
 def test_lone_triangle_shape():

@@ -241,3 +241,28 @@ def test_build_of_parsed_pairs_equals_load(tmp_path, name):
         assert built.labels == loaded.labels
         assert built.offsets.tolist() == loaded.offsets.tolist()
         assert built.neighbors.tolist() == loaded.neighbors.tolist()
+
+
+TRIANGLE = "1 2\n2 3\n3 1\n"
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch):
+    plain = load_edge_list(io.StringIO(TRIANGLE))
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + TRIANGLE.encode())
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()),
+                                                      encoding="utf-8"))
+    for g in (load_edge_list(str(path)), load_edge_list("-"),
+              load_edge_list(io.StringIO("\ufeff" + TRIANGLE))):
+        assert g.labels == plain.labels == (1, 2, 3)
+        assert g.neighbors.tolist() == plain.neighbors.tolist()
+    assert parse_edge_list(io.StringIO("\ufeff" + TRIANGLE)) == \
+        parse_edge_list(io.StringIO(TRIANGLE))
+
+
+def test_byte_order_mark_that_is_not_leading_stays_in_its_token():
+    for text in ("1 2\n\ufeff2 3\n", "\ufeff\ufeff1 2\n", "1 2\ufeff\n"):
+        want = [tuple(line.split()) for line in text.removeprefix("\ufeff").splitlines()]
+        assert parse_edge_list(io.StringIO(text)) == want
+        labels = tuple(sorted({x for pair in want for x in pair}))
+        assert load_edge_list(io.StringIO(text)).labels == labels

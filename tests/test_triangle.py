@@ -8,9 +8,9 @@ from tricent import triangle
 from tricent.centrality import tc_from_triangles, triangle_centrality
 from tricent.errors import InputError
 from tricent.generators import book_with_satellite, clique, load_fixture
-from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
+from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order, row_lists
 from tricent.triangle import (BRUTE_FORCE_LIMIT, MergeTally, _hash_buckets, _hash_counts,
-                              _hash_find, _hash_table, _merge_counts, _prefix_lists,
+                              _hash_find, _hash_table, _merge_counts,
                               _prefix_pairs, brute_force_triangles, edge_count_arrays,
                               hash_intersection_tri_neighbors,
                               hash_neighbor_pair_count,
@@ -39,14 +39,14 @@ def test_triangle_neighbor_k3():
     assert stats.total == 1
     assert stats.per_vertex.tolist() == [1, 1, 1]
     nbh = materialize_triangle_neighbors(ordered(g), marks)
-    assert nbh.lists == [[1, 2], [0, 2], [0, 1]]
+    assert nbh == [[1, 2], [0, 2], [0, 1]]
 
 
 def test_triangle_neighbor_path_is_empty():
     g = path(4)
     stats, marks = triangle_neighbor(ordered(g))
     assert stats.total == 0
-    assert not marks.bits.any()
+    assert not marks.any()
 
 
 @pytest.mark.parametrize("name,total", [
@@ -76,7 +76,7 @@ def test_marks_match_brute_relation():
     _, marks = triangle_neighbor(adj)
     nbh = materialize_triangle_neighbors(adj, marks)
     _, oracle = brute_force_triangles(g)
-    assert nbh.lists == oracle.lists
+    assert nbh == oracle
 
 
 def test_all_implementations_agree(small_random_suite):
@@ -94,7 +94,7 @@ def test_all_implementations_agree(small_random_suite):
             assert s.total == ref_stats.total
             assert np.array_equal(s.per_vertex, ref_stats.per_vertex)
             assert int(s.per_vertex.sum()) == 3 * s.total
-        assert n1.lists == n2.lists == n4.lists == n5.lists == ref_nbh.lists
+        assert n1 == n2 == n4 == n5 == ref_nbh
 
 
 def test_detection_count_equals_total(small_random_suite):
@@ -118,8 +118,8 @@ def test_per_edge_counts_align_with_marks(small_random_suite):
     for g in small_random_suite + fixtures:
         adj = ordered(g)
         stats, marks = triangle_neighbor(adj, per_edge=True)
-        assert stats.per_edge.shape == marks.bits.shape
-        assert np.array_equal(marks.bits, stats.per_edge > 0)
+        assert stats.per_edge.shape == marks.shape
+        assert np.array_equal(marks, stats.per_edge > 0)
         for v in range(g.n):
             nv = set(g.neighbors_of(v).tolist())
             lo, hi = adj.prefix_offsets[v], adj.prefix_offsets[v + 1]
@@ -149,8 +149,9 @@ def test_per_edge_counts_are_common_neighbor_sizes(small_random_suite):
 
 def merge_counts(adj):
     """Per-entry triangle counts from one pass of the merge kernel."""
-    counts = [0] * int(adj.prefix_offsets[-1])
-    _merge_counts(_prefix_lists(adj), adj.prefix_offsets.tolist(), counts)
+    poff = adj.prefix_offsets
+    counts = [0] * int(poff[-1])
+    _merge_counts(row_lists(adj.higher, poff), poff.tolist(), counts)
     return counts
 
 
@@ -264,7 +265,7 @@ def test_hash_pair_neighbors_on_triangle_free_tree():
     tree = build_graph([(1, 2), (1, 3), (2, 4), (2, 5)])
     stats, nbh = hash_neighbor_pair_tri_neighbors(tree, ordered(tree))
     assert stats.total == 0
-    assert all(row == [] for row in nbh.lists)
+    assert all(row == [] for row in nbh)
 
 
 def test_hash_intersection_on_clique_chain():
@@ -273,7 +274,7 @@ def test_hash_intersection_on_clique_chain():
     g, _ = clique_chain(3, 4)
     nbh = hash_intersection_tri_neighbors(ordered(g))
     _, oracle = brute_force_triangles(g)
-    assert nbh.lists == oracle.lists
+    assert nbh == oracle
 
 
 def test_hash_pair_count_k4():
