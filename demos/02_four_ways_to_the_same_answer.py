@@ -8,11 +8,13 @@ parallel  the PRAM route: one pass of the merge-intersection kernel, in one
           thread, plus its work counters, then the same fold
 """
 
+import math
+
 import numpy as np
 
 from tricent import (load_fixture, parallel_triangle_centrality, run_mapreduce_tc,
                      triangle_centrality, triangle_centrality_algebraic,
-                     triangle_centrality_basic, work_report)
+                     triangle_centrality_basic)
 
 g = load_fixture("dolphins")
 main = triangle_centrality(g)
@@ -33,4 +35,7 @@ for name, scores in others.items():
     print(f"  {name:<12} max|diff| = {diff:.3e}   bitwise equal: {bitwise}")
 
 print("\nwork accounting for the parallel run:")
-print(" ", work_report(counters, g))
+print(" ", counters)
+budget = g.m * math.sqrt(2 * g.m)
+print(f"  pair-tests/(m*sqrt(2m)) = {counters.pair_tests / budget:.4f}  "
+      f"merge-comparisons/(m*sqrt(2m)) = {counters.merge_comparisons / budget:.4f}")

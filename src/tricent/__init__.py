@@ -25,8 +25,7 @@ from .graph import (Graph, OrderedAdjacency, build_abbreviated_adjacency,
                     build_graph, degree_order, dump_edge_list, load_edge_list,
                     parse_edge_list)
 from .mapreduce import RoundStats, run_mapreduce_tc
-from .parallel import (ParallelConfig, WorkCounters, parallel_triangle_centrality,
-                       work_report)
+from .parallel import ParallelConfig, WorkCounters, parallel_triangle_centrality
 from .triangle import (MergeTally, TriangleStats, brute_force_triangles,
                        hash_intersection_tri_neighbors, hash_neighbor_pair_count,
                        hash_neighbor_pair_tri_neighbors,

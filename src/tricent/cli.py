@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands: compute, compare, gen, bench. Scores stream to stdout as
-`label<TAB>score` sorted by rank (ties by label); stats go to stderr. The
-route table `_ROUTES` is the one list of `--algo` names.
+`label<TAB>score` sorted by rank (ties by label). A run record (route, graph
+shape, triangle total, seconds, the route's work counters) is one JSON line:
+`compute --stats` writes it to stderr, `bench` one per file and route to
+stdout. The route table `_ROUTES` is the one list of `--algo` names.
 Exit codes: 0 ok, 1 usage, 2 I/O (silent when stdout is a pipe closed early),
 3 internal consistency.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -23,7 +26,7 @@ from .errors import ConsistencyError, InputError
 from .generators import GEN_FAMILIES, generate_fixture
 from .graph import dump_edge_list, load_edge_list
 from .mapreduce import run_mapreduce_tc
-from .parallel import parallel_triangle_centrality, work_report
+from .parallel import parallel_triangle_centrality
 
 USAGE_EXIT, IO_EXIT, INTERNAL_EXIT = 1, 2, 3
 
@@ -43,7 +46,7 @@ def _build_parser():
     pc = sub.add_parser("compute", help="compute triangle centrality scores")
     pc.add_argument("path", help="edge-list file, or - for stdin")
     pc.add_argument("--algo", choices=list(_ROUTES), default="main")
-    pc.add_argument("--stats", action="store_true", help="print work counters to stderr")
+    pc.add_argument("--stats", action="store_true", help="write the run record to stderr")
     pc.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
     pp = sub.add_parser("compare", help="compare against classical measures; exact "
@@ -58,7 +61,7 @@ def _build_parser():
     pg.add_argument("--p", type=int, default=None, help="copy count parameter")
     pg.add_argument("--pendants", type=int, default=None)
 
-    pb = sub.add_parser("bench", help="time algorithms on user-supplied edge lists")
+    pb = sub.add_parser("bench", help="write a run record per edge list and algorithm")
     pb.add_argument("paths", nargs="*")
     pb.add_argument("--algo", action="append", choices=list(_ROUTES))
     return p
@@ -93,42 +96,35 @@ def _emit_scores(g, cv, fmt, out):
         out.write("".join(map("{}\t{}\n".format, labels, scores)))
 
 
-def _counts_line(g, cv, _, out):
-    out.write(f"n={g.n} m={g.m} triangles={cv.tri_total}\n")
-
-
-def _work_line(g, _, counters, out):
-    out.write(f"{work_report(counters, g)}\n")
-
-
-def _round_table(g, _, round_stats, out):
-    out.write("round\trecords-in\trecords-out\test-bits\n")
-    for rs in round_stats:
-        out.write(f"{rs.round_index}\t{rs.map_records}\t{rs.reduce_records}\t{rs.est_bits}\n")
-
-
-def _without_record(route):
-    return lambda g: (route(g), None)
-
-
-# --algo name -> (route: Graph -> (scores, the route's work record),
-#                 --stats writer of that record)
+# --algo name -> route: Graph -> (scores, the route's work counters or None)
 _ROUTES = {
-    "main": (_without_record(triangle_centrality), _counts_line),
-    "basic": (_without_record(triangle_centrality_basic), _counts_line),
-    "algebraic": (_without_record(triangle_centrality_algebraic), _counts_line),
-    "parallel": (parallel_triangle_centrality, _work_line),
-    "mapreduce": (run_mapreduce_tc, _round_table),
+    "main": lambda g: (triangle_centrality(g), None),
+    "basic": lambda g: (triangle_centrality_basic(g), None),
+    "algebraic": lambda g: (triangle_centrality_algebraic(g), None),
+    "parallel": parallel_triangle_centrality,
+    "mapreduce": run_mapreduce_tc,
 }
+
+
+def _run(g, algo):
+    """Score ``g`` along one route, timed: the scores and the run record."""
+    t0 = time.perf_counter()
+    cv, work = _ROUTES[algo](g)
+    seconds = time.perf_counter() - t0
+    return cv, {"algo": algo, "n": g.n, "m": g.m, "triangles": cv.tri_total,
+                "seconds": seconds, "work": work}
+
+
+def _write_record(record, out):
+    out.write(json.dumps(record, default=dataclasses.asdict) + "\n")
 
 
 def _cmd_compute(args):
     g = load_edge_list(args.path)
-    route, write_stats = _ROUTES[args.algo]
-    cv, record = route(g)
+    cv, record = _run(g, args.algo)
     _emit_scores(g, cv, args.format, sys.stdout)
     if args.stats:
-        write_stats(g, cv, record, sys.stderr)
+        _write_record(record, sys.stderr)
     return 0
 
 
@@ -166,19 +162,14 @@ def _cmd_gen(args):
 
 
 def _cmd_bench(args):
-    algos = args.algo or ["main"]
-    sys.stdout.write("graph\talgo\tn\tm\ttriangles\tseconds\n")
     for path in args.paths:
         try:
             g = load_edge_list(path)
         except (OSError, InputError) as exc:
             sys.stderr.write(f"warning: skipping {path}: {exc}\n")
             continue
-        for algo in algos:
-            t0 = time.perf_counter()
-            cv, _ = _ROUTES[algo][0](g)
-            dt = time.perf_counter() - t0
-            sys.stdout.write(f"{path}\t{algo}\t{g.n}\t{g.m}\t{cv.tri_total}\t{dt:.3f}\n")
+        for algo in args.algo or ["main"]:
+            _write_record({"graph": path, **_run(g, algo)[1]}, sys.stdout)
     return 0
 
 

@@ -58,9 +58,6 @@ class Graph:
         """Each undirected edge once as an (u, v) internal-id pair, u < v."""
         return zip(*(a.tolist() for a in self._edge_ends()))
 
-    def to_edge_list(self):
-        return [(self.labels[u], self.labels[v]) for u, v in self.edges()]
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -226,32 +223,28 @@ def parse_edge_list(fh, source="<input>"):
     return list(zip(ends[0::2].tolist(), ends[1::2].tolist()))
 
 
-def _read_text(path_or_file):
-    """Whole text of an open file, of stdin ('-') or of a UTF-8 file path."""
-    if hasattr(path_or_file, "read"):
-        return path_or_file.read()
-    if path_or_file != "-":
-        with open(path_or_file, encoding="utf-8") as fh:
-            return fh.read()
-    if not hasattr(sys.stdin, "buffer"):  # stdin replaced by a text stream
-        return sys.stdin.read()
-    # decoded here, not by sys.stdin, whose error handler may pass any byte
-    # through; newlines translated as in text mode
-    text = sys.stdin.buffer.read().decode("utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
 def load_edge_list(path_or_file):
     """Read an edge-list file (path, '-' for stdin, or open file) into a Graph.
 
     Input that is not UTF-8 raises OSError naming the source.
     """
-    if hasattr(path_or_file, "read"):
-        source = getattr(path_or_file, "name", "<stream>")
-    else:
-        source = "<stdin>" if path_or_file == "-" else str(path_or_file)
     try:
-        text = _read_text(path_or_file)
+        if hasattr(path_or_file, "read"):
+            source = getattr(path_or_file, "name", "<stream>")
+            text = path_or_file.read()
+        elif path_or_file != "-":
+            source = str(path_or_file)
+            with open(path_or_file, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            source = "<stdin>"
+            if hasattr(sys.stdin, "buffer"):
+                # decoded here, not by sys.stdin, whose error handler may pass
+                # any byte through; newlines translated as in text mode
+                text = sys.stdin.buffer.read().decode("utf-8")
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            else:  # stdin replaced by a text stream
+                text = sys.stdin.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{source}: not UTF-8 text: {exc}") from exc
     return _graph_from_ids(*_code_text(text, source))
@@ -259,8 +252,9 @@ def load_edge_list(path_or_file):
 
 def dump_edge_list(g, file):
     """Write one `label label` line per undirected edge."""
-    for a, b in g.to_edge_list():
-        file.write(f"{a} {b}\n")
+    labels = g.labels
+    for u, v in g.edges():
+        file.write(f"{labels[u]} {labels[v]}\n")
 
 
 def row_lists(flat, offsets):

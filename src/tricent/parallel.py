@@ -9,10 +9,10 @@ runs in one thread and takes no worker count: the kernel is pure Python and
 holds the interpreter lock, and a thread pool over the numpy wedge kernel
 gained nothing on Holme-Kim graphs. All counting is exact, so results are
 bitwise identical to the sequential path. Work counters stand in for
-abstract processor-count claims.
+abstract processor-count claims; ``tc compute --stats`` writes them as the
+``work`` of its run record.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -56,25 +56,3 @@ def parallel_triangle_centrality(g, cfg=None):
     counters.phase_seconds["fold"] = time.perf_counter() - t0
     return cv, counters
 
-
-@dataclass
-class WorkReport:
-    pair_test_ratio: float
-    merge_ratio: float
-    triangles: int
-    phase_seconds: dict
-
-    def __str__(self):
-        phases = " ".join(f"{k}={v:.4f}s" for k, v in self.phase_seconds.items())
-        return (f"pair-tests/(m*sqrt(2m)) = {self.pair_test_ratio:.4f}  "
-                f"merge-comparisons/(m*sqrt(2m)) = {self.merge_ratio:.4f}  "
-                f"triangles = {self.triangles}  {phases}")
-
-
-def work_report(counters, g):
-    """Normalized work ratios against the m*sqrt(2m) budget plus timings."""
-    budget = g.m * math.sqrt(2 * g.m) if g.m else 0.0
-    ratio = (counters.pair_tests / budget) if budget else 0.0
-    merge = (counters.merge_comparisons / budget) if budget else 0.0
-    return WorkReport(pair_test_ratio=ratio, merge_ratio=merge,
-                      triangles=counters.triangles, phase_seconds=counters.phase_seconds)

@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import tricent
+from test_mapreduce import GOLDEN_ROUNDS
 from tricent.cli import _ROUTES, main
 from tricent.generators import GEN_FAMILIES, load_fixture
-from tricent.graph import dump_edge_list
+from tricent.graph import build_abbreviated_adjacency, degree_order, dump_edge_list
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -25,6 +30,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stats_record(capsys, path, algo):
+    """The run record that `compute --stats` writes: one JSON line on stderr."""
+    code, _, err = run(capsys, "compute", path, "--algo", algo, "--stats")
+    assert code == 0
+    (line,) = err.splitlines()
+    return json.loads(line)
+
+
+def untimed(record):
+    """A run record without its graph path and its timings."""
+    record = {k: v for k, v in record.items() if k not in ("graph", "seconds")}
+    if isinstance(record["work"], dict):
+        record["work"] = {k: v for k, v in record["work"].items() if k != "phase_seconds"}
+    return record
 
 
 def test_compute_karate(capsys, karate_file):
@@ -105,9 +126,10 @@ def test_json_layout_is_json_dumps_indent_two(capsys, monkeypatch, text):
 def test_mapreduce_round_table(capsys, karate_file):
     code, out, err = run(capsys, "compute", karate_file, "--algo", "mapreduce", "--stats")
     assert code == 0
-    rows = err.strip().splitlines()
-    assert rows[0].split("\t") == ["round", "records-in", "records-out", "est-bits"]
-    assert len(rows) == 5
+    rounds = json.loads(err)["work"]
+    assert [r["round_index"] for r in rounds] == [1, 2, 3, 4]
+    assert all(list(r) == ["round_index", "map_records", "reduce_records", "est_bits"]
+               for r in rounds)
     assert out.strip().splitlines()[0].startswith("14\t")
 
 
@@ -140,10 +162,42 @@ def test_compare_refuses_graphs_above_the_exact_limit(capsys, tmp_path,
 
 
 def test_stats_flag(capsys, karate_file):
-    code, _, err = run(capsys, "compute", karate_file, "--algo", "parallel", "--stats")
-    assert code == 0 and "pair-tests" in err
-    code, _, err = run(capsys, "compute", karate_file, "--algo", "main", "--stats")
-    assert code == 0 and "triangles=45" in err
+    code, plain, err = run(capsys, "compute", karate_file, "--algo", "parallel")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "compute", karate_file, "--algo", "parallel", "--stats")
+    assert code == 0 and out == plain
+    assert json.loads(err)["work"]["pair_tests"] > 0
+    assert stats_record(capsys, karate_file, "main")["triangles"] == 45
+
+
+@pytest.mark.parametrize("algo", list(_ROUTES))
+def test_stats_record_on_karate(capsys, karate_file, algo):
+    record = stats_record(capsys, karate_file, algo)
+    assert list(record) == ["algo", "n", "m", "triangles", "seconds", "work"]
+    assert (record["algo"], record["n"], record["m"], record["triangles"]) == (algo, 34, 78, 45)
+    assert record["seconds"] >= 0.0
+    work = record["work"]
+    if algo == "parallel":
+        g = load_fixture("karate")
+        p = build_abbreviated_adjacency(g, degree_order(g)).prefix_len.tolist()
+        assert work["pair_tests"] == sum(x * (x - 1) // 2 for x in p)
+        assert work["triangles"] == 45
+        assert 0 < work["merge_comparisons"] <= 4 * g.m * math.sqrt(2 * g.m)
+        assert list(work["phase_seconds"]) == ["setup", "detect", "fold"]
+    elif algo == "mapreduce":
+        assert [(r["map_records"], r["reduce_records"], r["est_bits"])
+                for r in work] == GOLDEN_ROUNDS["karate"]
+    else:
+        assert work is None
+
+
+def test_readme_synopsis_lists_every_route():
+    synopsis = [line for line in README.read_text().splitlines()
+                if line.startswith(("tc compute ", "tc bench "))]
+    assert len(synopsis) == 2
+    for line in synopsis:
+        (names,) = re.findall(r"\[--algo ([\w|]+)", line)
+        assert names.split("|") == list(_ROUTES), line
 
 
 @pytest.mark.parametrize("algo", list(_ROUTES))
@@ -195,7 +249,7 @@ def test_missing_file_exit_two(capsys):
 def test_bench_no_inputs(capsys):
     code, out, _ = run(capsys, "bench")
     assert code == 0
-    assert out.strip().splitlines() == ["graph\talgo\tn\tm\ttriangles\tseconds"]
+    assert out == ""
 
 
 def test_bench_skips_missing_and_reports(capsys, karate_file):
@@ -203,17 +257,19 @@ def test_bench_skips_missing_and_reports(capsys, karate_file):
                          "--algo", "main", "--algo", "algebraic")
     assert code == 0
     assert "skipping /missing.txt" in err
-    rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
-    assert len(rows) == 2
-    assert all(row[4] == "45" for row in rows)
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["graph"], r["algo"], r["triangles"]) for r in records] == [
+        (karate_file, "main", 45), (karate_file, "algebraic", 45)]
 
 
 @pytest.mark.parametrize("algo", list(_ROUTES))
 def test_bench_runs_every_route(capsys, karate_file, algo):
     code, out, _ = run(capsys, "bench", karate_file, "--algo", algo)
     assert code == 0
-    rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
-    assert [row[:5] for row in rows] == [[karate_file, algo, "34", "78", "45"]]
+    (line,) = out.splitlines()
+    record = json.loads(line)
+    assert list(record)[:2] == ["graph", "algo"] and record["graph"] == karate_file
+    assert untimed(record) == untimed(stats_record(capsys, karate_file, algo))
 
 
 def test_bench_skips_malformed_file(capsys, tmp_path, karate_file):
@@ -222,8 +278,9 @@ def test_bench_skips_malformed_file(capsys, tmp_path, karate_file):
     code, out, err = run(capsys, "bench", str(bad), karate_file)
     assert code == 0
     assert f"warning: skipping {bad}: " in err and ":2:" in err
-    rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
-    assert [row[0] for row in rows] == [karate_file] and rows[0][4] == "45"
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["graph"], r["algo"], r["triangles"]) for r in records] == [
+        (karate_file, "main", 45)]
 
 
 @pytest.mark.parametrize("family", sorted(GEN_FAMILIES))

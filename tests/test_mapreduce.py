@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -149,3 +150,17 @@ def test_round_stats_match_golden_values(name):
     _, stats = run_mapreduce_tc(load_fixture(name))
     got = [(s.map_records, s.reduce_records, s.est_bits) for s in stats]
     assert got == GOLDEN_ROUNDS[name]
+
+
+# SHA-256 over every random_suite_200 graph, in order, of the repr of its
+# [(round_index, map_records, reduce_records, est_bits), ...] list
+RANDOM_SUITE_ROUNDS_SHA256 = "c11dfa0edfb9d5c40222d0a0610be4d03f997c11caa10aac85217ec4cdb6e61e"
+
+
+def test_round_stats_pinned_on_random_suite(random_suite_200):
+    digest = hashlib.sha256()
+    for g in random_suite_200:
+        _, stats = run_mapreduce_tc(g)
+        digest.update(repr([(s.round_index, s.map_records, s.reduce_records, s.est_bits)
+                            for s in stats]).encode())
+    assert digest.hexdigest() == RANDOM_SUITE_ROUNDS_SHA256

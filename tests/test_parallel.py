@@ -4,8 +4,7 @@ import numpy as np
 
 from tricent.centrality import triangle_centrality
 from tricent.generators import clique, load_fixture
-from tricent.parallel import (ParallelConfig, parallel_triangle_centrality,
-                              work_report)
+from tricent.parallel import ParallelConfig, parallel_triangle_centrality
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
 from tricent.triangle import MergeTally, triangle_neighbor
 
@@ -63,15 +62,6 @@ def test_empty_graph_counters_zero():
     assert counters.pair_tests == 0
     assert counters.triangles == 0
     assert counters.merge_comparisons == 0
-
-
-def test_work_report_karate_ratio_below_one():
-    g = load_fixture("karate")
-    _, counters = parallel_triangle_centrality(g, ParallelConfig(workers=2))
-    report = work_report(counters, g)
-    assert 0.0 < report.pair_test_ratio < 1.0
-    assert report.triangles == 45
-    assert "pair-tests" in str(report)
 
 
 def test_huge_worker_count_starts_no_threads(monkeypatch):
