@@ -6,8 +6,8 @@ triangle count.
   bridged cliques   the bridge scores 3/k even though it has no triangles
   disjoint cliques  everyone scores 1/p
   clique chain      four roles, all of the form (.)/(p*k)
-  clique ring       two roles (exact for p >= 4; the p=3 ring closes one
-                    extra triangle among its joints)
+  clique ring       two roles (the p=3 ring's joints close one more
+                    triangle, and its closed form counts it)
   lone triangle     the triangle and its pendants all score 1
 """
 

@@ -6,6 +6,7 @@ neighbors. Sums are kept in exact integers; the single floating-point step is
 the final division, computed as (core + 3*non_core) / (3*total).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -98,10 +99,9 @@ CHAIN_ROLES = ("inner-joint", "outer-joint", "inner-member", "outer-member")
 def closed_form_tc(family, k=None, p=None, role=None):
     """Exact rational score for the closed-form graph families.
 
-    Caveat: the clique-ring formulas presume every triangle lies inside one of
-    the cliques. In the smallest ring (p = 3) the three joint vertices are
-    mutually adjacent and close one extra triangle, so the generated p = 3
-    family deviates slightly from these values; they agree exactly for p >= 4.
+    In the smallest clique ring (p = 3) the three joints are mutually
+    adjacent and close one triangle on top of the 3 * C(k, 3) inside the
+    cliques, which raises a joint's count from 2C to 2C + 1 for C = C(k-1, 2).
     """
     if family == "clique":
         _require(k is not None and k >= 3, "clique needs k >= 3")
@@ -130,9 +130,14 @@ def closed_form_tc(family, k=None, p=None, role=None):
     if family == "clique-ring":
         _require(k is not None and k >= 3, "clique-ring needs k >= 3")
         _require(p is not None and p >= 3, "clique-ring needs p >= 3")
+        c, den = math.comb(k - 1, 2), 3 * (3 * math.comb(k, 3) + 1)
         if role == "joint":
+            if p == 3:
+                return Fraction(3 * (2 * c + 1) + 2 * (k - 2) * c, den)
             return Fraction(2 * k + 2, p * k)
         if role == "member":
+            if p == 3:
+                return Fraction((k - 2) * c + 2 * (2 * c + 1), den)
             return Fraction(k + 2, p * k)
         raise InputError(f"unknown ring role {role!r}")
     if family == "lone-triangle":

@@ -283,10 +283,9 @@ class OrderedAdjacency:
     neighbors ranked above v) is ``higher[prefix_offsets[v] :
     prefix_offsets[v + 1]]``, ``prefix_len[v]`` entries sorted ascending by
     internal id; the m entries index the per-entry counts and mark arrays.
-    ``row(v)`` is v's whole neighbor row in the graph.
     """
 
-    __slots__ = ("n", "m", "lower", "higher", "prefix_len", "prefix_offsets", "rank", "_graph")
+    __slots__ = ("n", "m", "lower", "higher", "prefix_len", "prefix_offsets", "rank")
 
     def __init__(self, g, lower, higher, rank):
         self.n = g.n
@@ -297,10 +296,6 @@ class OrderedAdjacency:
         self.prefix_offsets = np.zeros(g.n + 1, dtype=np.int64)
         np.cumsum(self.prefix_len, out=self.prefix_offsets[1:])
         self.rank = rank
-        self._graph = g
-
-    def row(self, v):
-        return self._graph.neighbors_of(v)
 
 
 def build_abbreviated_adjacency(g, rank):

@@ -1,22 +1,22 @@
 """Triangle counting and triangle-neighborhood identification.
 
-The kernels read the abbreviated adjacency's packed prefix entries, one per
-edge (``adj.lower[e]``, ``adj.higher[e]``), and find every triangle exactly
-once, from its lowest-ordered vertex, as a pair of entries of one prefix
-whose closing edge is an entry too. Each triangle counts on its three
-entries; per-vertex and global counts and the triangle-neighbor marks are
-derived from those per-entry counts. The production path is the vectorized
-wedge check (`wedge_counts`): numpy looks up the closing edge of every pair
-of entries of one prefix with `searchsorted` among the sorted entry keys.
-The basic route's kernel (`_hash_counts`) tests the same pairs against a hash
-table of the edges built in numpy. Both run one blocked pair loop
-(`_pair_counts` over `_prefix_pairs`), so their memory stays O(m). The
-pure-Python merge intersection (`triangle_neighbor`, over `_merge_counts`)
-is their oracle, and it also serves the PRAM route of
-:mod:`tricent.parallel` and the merge-comparison counts. A two-orientation variant, a set-intersection
-variant and a cubic brute-force oracle are kept alongside as cross-checks.
-All routines agree on per-vertex counts, the global count, and the
-triangle-neighbor relation.
+Every routine except the cubic brute-force oracle reads the abbreviated
+adjacency's packed prefix entries, one per edge (``adj.lower[e]``,
+``adj.higher[e]``), and reports one triangle count per entry: each triangle
+counts on its three entries. The per-vertex and global counts, the
+triangle-neighbor marks and the sorted lists are assembled from those counts
+by the shared `_stats_and_marks` and `materialize_triangle_neighbors`. The
+production path is the vectorized wedge check (`wedge_counts`): numpy looks
+up the closing edge of every pair of entries of one prefix with
+`searchsorted` among the sorted entry keys. The basic route's kernel
+(`_hash_counts`) tests the same pairs against a hash table of the edges built
+in numpy. Both run one blocked pair loop (`_pair_counts` over
+`_prefix_pairs`), so their memory stays O(m). The pure-Python merge
+intersection (`triangle_neighbor`, over `_merge_counts`) is their oracle, and
+it also serves the PRAM route of :mod:`tricent.parallel` and the
+merge-comparison counts. A two-orientation merge variant and a
+set-intersection variant are kept as cross-checks. All routines agree on
+per-vertex counts, the global count, and the triangle-neighbor relation.
 """
 
 from dataclasses import dataclass
@@ -300,57 +300,35 @@ def materialize_triangle_neighbors(adj, marks):
 def triangle_neighbor_alt(adj):
     """Lower-synchronization variant: intersect from both edge orientations.
 
-    Every triangle is detected twice (once per orientation of its low-middle
-    edge), so counters advance by half per detection; the doubled integers
-    are halved at the end for exactness. The scratch mark array is local to
-    each vertex and discarded, which is what removes the cross-vertex writes.
+    Every prefix entry is merged from both of its ends, so each triangle is
+    detected twice and adds 1 at its three entries each time; the doubled
+    counts are halved at the end for exactness.
     """
-    n = adj.n
-    tri2 = np.zeros(n, dtype=np.int64)  # doubled counts
-    total2 = 0
-    lists = [[] for _ in range(n)]
+    poff = adj.prefix_offsets.tolist()
     prefixes = row_lists(adj.higher, adj.prefix_offsets)
-    prefix_index = [{u: i for i, u in enumerate(p)} for p in prefixes]
-    for v in range(n):
-        pv = prefixes[v]
-        pl = len(pv)
-        local = np.zeros(pl, dtype=bool)
-        index_v = prefix_index[v]
-        for u in adj.row(v).tolist():
-            pu = prefixes[u]
-            ul = len(pu)
-            p = index_v.get(u)
-            found = False
+    doubled = [0] * adj.m
+    for e, (v, u) in enumerate(zip(adj.lower.tolist(), adj.higher.tolist())):
+        for a, b in ((v, u), (u, v)):
+            pa, pb = prefixes[a], prefixes[b]
+            la, lb = len(pa), len(pb)
             x = y = 0
-            while x < pl and y < ul:
-                wv = pv[x]
-                wu = pu[y]
-                if wv == wu:
-                    found = True
-                    tri2[v] += 1
-                    tri2[u] += 1
-                    tri2[wv] += 1
-                    total2 += 1
-                    if not local[x]:
-                        local[x] = True
-                        lists[v].append(wv)
-                        lists[wv].append(v)
+            while x < la and y < lb:
+                wa, wb = pa[x], pb[y]
+                if wa == wb:
+                    doubled[poff[a] + x] += 1  # {a,w}
+                    doubled[poff[b] + y] += 1  # {b,w}
+                    doubled[e] += 1  # {a,b}
                     x += 1
                     y += 1
-                elif wv < wu:
+                elif wa < wb:
                     x += 1
                 else:
                     y += 1
-            if found and p is not None and not local[p]:
-                local[p] = True
-                lists[v].append(u)
-                lists[u].append(v)
-    if total2 % 2 or np.any(tri2 % 2):
+    doubled = np.array(doubled, dtype=np.int64)
+    if np.any(doubled % 2):
         raise AssertionError("odd doubled triangle counter")
-    for row in lists:
-        row.sort()
-    stats = TriangleStats(per_vertex=tri2 // 2, total=total2 // 2)
-    return stats, lists
+    stats, marks = _stats_and_marks(adj, doubled // 2, per_edge=False)
+    return stats, materialize_triangle_neighbors(adj, marks)
 
 
 def hash_neighbor_pair_count(g, adj):
@@ -372,26 +350,23 @@ def hash_neighbor_pair_tri_neighbors(g, adj):
 
 
 def hash_intersection_tri_neighbors(adj):
-    """Set-intersection variant over hashed prefixes; probes the smaller set
-    into the larger. Returns the triangle-neighbor lists only."""
-    n = adj.n
-    prefixes = row_lists(adj.higher, adj.prefix_offsets)
-    prefix_sets = [set(p) for p in prefixes]
-    accum = [set() for _ in range(n)]
-    for v in range(n):
-        sv = prefix_sets[v]
-        for u in prefixes[v]:
-            su = prefix_sets[u]
-            small, large = (sv, su) if len(sv) <= len(su) else (su, sv)
-            for w in small:
-                if w in large:
-                    accum[u].add(v)
-                    accum[w].add(v)
-                    accum[w].add(u)
-                    accum[v].add(u)
-                    accum[u].add(w)
-                    accum[v].add(w)
-    return [sorted(s) for s in accum]
+    """Set-intersection variant over hashed prefixes: every entry (v, u)
+    intersects the key views of v's and u's member-to-entry dicts (``&``
+    probes the smaller into the larger), and each triangle counts on its
+    three entries. Returns the triangle-neighbor lists only."""
+    poff = adj.prefix_offsets.tolist()
+    index = [dict(zip(p, range(lo, hi)))
+             for p, lo, hi in zip(row_lists(adj.higher, adj.prefix_offsets), poff, poff[1:])]
+    keys = [iv.keys() for iv in index]
+    counts = [0] * adj.m
+    for iv, kv in zip(index, keys):
+        for u, e in iv.items():
+            iu = index[u]
+            for w in kv & keys[u]:
+                counts[iv[w]] += 1  # {v,w}
+                counts[iu[w]] += 1  # {u,w}
+                counts[e] += 1  # {v,u}
+    return materialize_triangle_neighbors(adj, np.array(counts) > 0)
 
 
 BRUTE_FORCE_LIMIT = 256  # the all-triple oracle refuses more vertices

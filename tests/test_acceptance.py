@@ -7,7 +7,6 @@ import functools
 import math
 
 import numpy as np
-import pytest
 
 from tricent.algebraic import (build_triangle_matrix,
                                triangle_centrality_algebraic,
@@ -93,7 +92,7 @@ def test_c02_closed_form_suite():
                 for lab in labels:
                     assert abs(cv.scores[g.id_of(lab)] - want) <= TOL
             cases += 1
-        for p in range(4, 6):  # p = 3 rings covered by the strict-xfail companion
+        for p in range(4, 6):  # p = 3 rings: test_c02_ring_minimum_size
             g, roles = clique_ring(p, k)
             cv = triangle_centrality(g)
             for role, labels in roles.items():
@@ -109,10 +108,6 @@ def test_c02_closed_form_suite():
     assert cases >= 100
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the ring closed form presumes all triangles lie inside cliques, but at "
-    "p=3 the three joint vertices are mutually adjacent and close one extra "
-    "triangle; the stated values are unattainable on the generated family"))
 @criterion(2, "ring family at minimum size (p=3) matches the closed form")
 def test_c02_ring_minimum_size():
     for k in range(3, 9):

@@ -131,4 +131,3 @@ def test_partition_correctness_random(random_suite_200):
                 assert rank[u] > rank[v]
             for u in suffix(adj, v):
                 assert rank[u] < rank[v]
-            assert sorted(adj.row(v).tolist()) == sorted(g.neighbors_of(v).tolist())

@@ -12,8 +12,11 @@ from tricent.algebraic import triangle_centrality_algebraic
 from tricent.centrality import (closed_form_tc, triangle_centrality,
                                 triangle_centrality_basic)
 from tricent.generators import clique_ring
-from tricent.graph import build_graph
+from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
 from tricent.parallel import parallel_triangle_centrality
+from tricent.triangle import (_stats_and_marks, hash_intersection_tri_neighbors,
+                              materialize_triangle_neighbors, triangle_neighbor_alt,
+                              wedge_counts)
 
 TOL = 1e-12
 
@@ -45,6 +48,15 @@ def test_routes_agree_on_holme_kim(seed):
         assert np.max(np.abs(alt.scores - ref.scores)) <= TOL
     par, _ = parallel_triangle_centrality(g)
     assert np.array_equal(par.scores, ref.scores)  # bitwise
+    # the pure-Python variants against the lists from the main kernel's marks
+    adj = build_abbreviated_adjacency(g, degree_order(g))
+    stats, marks = _stats_and_marks(adj, wedge_counts(adj), per_edge=False)
+    lists = materialize_triangle_neighbors(adj, marks)
+    alt_stats, alt_lists = triangle_neighbor_alt(adj)
+    assert alt_stats.total == stats.total == ref.tri_total
+    assert np.array_equal(alt_stats.per_vertex, stats.per_vertex)
+    assert alt_lists == lists
+    assert hash_intersection_tri_neighbors(adj) == lists
     # triangle total from scipy, sharing no code with the kernels
     a = sp.csr_matrix((np.ones(2 * g.m, dtype=np.int64), g.neighbors, g.offsets),
                       shape=(g.n, g.n))

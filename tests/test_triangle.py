@@ -7,7 +7,7 @@ import pytest
 from tricent import triangle
 from tricent.centrality import tc_from_triangles, triangle_centrality
 from tricent.errors import InputError
-from tricent.generators import book_with_satellite, clique, load_fixture
+from tricent.generators import book_with_satellite, clique, clique_ring, load_fixture
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order, row_lists
 from tricent.triangle import (BRUTE_FORCE_LIMIT, MergeTally, _hash_buckets, _hash_counts,
                               _hash_find, _hash_table, _merge_counts,
@@ -81,7 +81,11 @@ def test_marks_match_brute_relation():
 
 def test_all_implementations_agree(small_random_suite):
     fixtures = [load_fixture(n) for n in ("borgatti", "karate")]
-    for g in small_random_suite + fixtures + [book_with_satellite()]:
+    # K_12's prefixes run up to length 11, the longest merges; the p = 3
+    # ring's joints close a triangle of their own; the star has a vertex of
+    # degree 30 and no triangle
+    dense = [k_n(12), clique_ring(3, 5)[0], star(30)]
+    for g in small_random_suite + fixtures + [book_with_satellite()] + dense:
         adj = ordered(g)
         ref_stats, ref_nbh = brute_force_triangles(g)
         s1, marks = triangle_neighbor(adj)
