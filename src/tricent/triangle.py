@@ -14,9 +14,11 @@ in numpy. Both run one blocked pair loop (`_pair_counts` over
 `_prefix_pairs`), so their memory stays O(m). The pure-Python merge
 intersection (`triangle_neighbor`, over `_merge_counts`) is their oracle, and
 it also serves the PRAM route of :mod:`tricent.parallel` and the
-merge-comparison counts. A two-orientation merge variant and a
-set-intersection variant are kept as cross-checks. All routines agree on
-per-vertex counts, the global count, and the triangle-neighbor relation.
+merge-comparison counts; `triangle_neighbor_alt` returns its lists. The
+set-intersection variant (`hash_intersection_tri_neighbors`), which looks the
+prefixes up in dicts instead of merging them, is kept as a cross-check of the
+merge. All routines agree on per-vertex counts, the global count, and the
+triangle-neighbor relation.
 """
 
 from dataclasses import dataclass
@@ -298,36 +300,9 @@ def materialize_triangle_neighbors(adj, marks):
 
 
 def triangle_neighbor_alt(adj):
-    """Lower-synchronization variant: intersect from both edge orientations.
-
-    Every prefix entry is merged from both of its ends, so each triangle is
-    detected twice and adds 1 at its three entries each time; the doubled
-    counts are halved at the end for exactness.
-    """
-    poff = adj.prefix_offsets.tolist()
-    prefixes = row_lists(adj.higher, adj.prefix_offsets)
-    doubled = [0] * adj.m
-    for e, (v, u) in enumerate(zip(adj.lower.tolist(), adj.higher.tolist())):
-        for a, b in ((v, u), (u, v)):
-            pa, pb = prefixes[a], prefixes[b]
-            la, lb = len(pa), len(pb)
-            x = y = 0
-            while x < la and y < lb:
-                wa, wb = pa[x], pb[y]
-                if wa == wb:
-                    doubled[poff[a] + x] += 1  # {a,w}
-                    doubled[poff[b] + y] += 1  # {b,w}
-                    doubled[e] += 1  # {a,b}
-                    x += 1
-                    y += 1
-                elif wa < wb:
-                    x += 1
-                else:
-                    y += 1
-    doubled = np.array(doubled, dtype=np.int64)
-    if np.any(doubled % 2):
-        raise AssertionError("odd doubled triangle counter")
-    stats, marks = _stats_and_marks(adj, doubled // 2, per_edge=False)
+    """The merge kernel of :func:`triangle_neighbor`, returning the stats and
+    the symmetric sorted triangle-neighbor lists instead of the marks."""
+    stats, marks = triangle_neighbor(adj, per_edge=False)
     return stats, materialize_triangle_neighbors(adj, marks)
 
 
