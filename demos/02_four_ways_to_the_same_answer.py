@@ -4,8 +4,9 @@ main      vectorized wedge checks inside sorted higher-ordered adjacency
           prefixes, no hashing, each triangle found exactly once
 basic     hash-set edge lookups over neighbor pairs
 algebraic sparse matrices: (3A - 2*binarize(T) + I) @ (T @ 1) / sum(T)
-parallel  the PRAM route: one pass of the merge-intersection kernel, in one
-          thread, plus its work counters, then the same fold
+parallel  the PRAM route: the wedge kernel plus work counters, its merge
+          comparisons exact, computed from the prefix ends (tested equal to
+          the merge kernel's count), then the same fold
 """
 
 import math

@@ -29,7 +29,7 @@ from .parallel import ParallelConfig, WorkCounters, parallel_triangle_centrality
 from .triangle import (MergeTally, TriangleStats, brute_force_triangles,
                        hash_intersection_tri_neighbors, hash_neighbor_pair_count,
                        hash_neighbor_pair_tri_neighbors,
-                       materialize_triangle_neighbors, triangle_neighbor,
-                       triangle_neighbor_alt, wedge_counts)
+                       materialize_triangle_neighbors, merge_comparison_count,
+                       triangle_neighbor, triangle_neighbor_alt, wedge_counts)
 
 __version__ = "0.1.0"

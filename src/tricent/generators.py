@@ -10,23 +10,24 @@ their distinguished vertex ``"a"``.
 import functools
 import inspect
 from importlib import resources
-from itertools import combinations
+from itertools import chain, combinations
 
 from .centrality import CHAIN_ROLES
 from .errors import InputError
 from .graph import build_graph, load_edge_list
 
 
-def _clique_edges(members):
-    return list(combinations(members, 2))
+def _cliques(starts, k):
+    """The edges of K_k on labels start .. start + k - 1, for each start."""
+    return chain.from_iterable(combinations(range(s, s + k), 2) for s in starts)
 
 
 def clique(k):
     """Complete graph on labels 1..k."""
     if k < 2:
         raise InputError("clique needs k >= 2")
-    members = list(range(1, k + 1))
-    g = build_graph(_clique_edges(members))
+    members = range(1, k + 1)
+    g = build_graph(combinations(members, 2))
     return g, {"member": tuple(members)}
 
 
@@ -34,10 +35,7 @@ def disjoint_cliques(p, k):
     """p disjoint copies of K_k; clique i holds labels i*k+1 .. (i+1)*k."""
     if p < 1 or k < 2:
         raise InputError("disjoint-cliques needs p >= 1, k >= 2")
-    edges = []
-    for i in range(p):
-        edges += _clique_edges(range(i * k + 1, (i + 1) * k + 1))
-    g = build_graph(edges)
+    g = build_graph(_cliques(range(1, p * k + 1, k), k))
     return g, {"member": tuple(range(1, p * k + 1))}
 
 
@@ -45,15 +43,9 @@ def bridged_cliques(p, k):
     """A bridge vertex (label 1) joined to one vertex of each of p copies of K_k."""
     if p < 1 or k < 2:
         raise InputError("bridged-cliques needs p >= 1, k >= 2")
-    edges = []
-    attach = []
-    for i in range(p):
-        members = list(range(2 + i * k, 2 + (i + 1) * k))
-        edges += _clique_edges(members)
-        edges.append((1, members[0]))
-        attach.append(members[0])
-    g = build_graph(edges)
-    members = tuple(v for v in range(2, 2 + p * k) if v not in set(attach))
+    attach = range(2, 2 + p * k, k)
+    g = build_graph(chain(_cliques(attach, k), ((1, a) for a in attach)))
+    members = tuple(v for v in range(2, 2 + p * k) if (v - 2) % k)
     return g, {"bridge": (1,), "attach": tuple(attach), "member": members}
 
 
@@ -61,11 +53,8 @@ def clique_chain(p, k):
     """Chain of p copies of K_k, consecutive copies sharing a joint vertex."""
     if p < 3 or k < 3:
         raise InputError("clique-chain needs p >= 3, k >= 3")
-    edges = []
+    g = build_graph(_cliques(range(1, p * (k - 1) + 1, k - 1), k))
     roles = {r: [] for r in CHAIN_ROLES}
-    for i in range(p):
-        members = list(range(i * (k - 1) + 1, i * (k - 1) + k + 1))
-        edges += _clique_edges(members)
     joints = [i * (k - 1) + 1 for i in range(1, p)]
     joint_set = set(joints)
     roles["outer-joint"] = [joints[0], joints[-1]]
@@ -74,7 +63,6 @@ def clique_chain(p, k):
         members = range(i * (k - 1) + 1, i * (k - 1) + k + 1)
         kind = "outer-member" if i in (0, p - 1) else "inner-member"
         roles[kind] += [v for v in members if v not in joint_set]
-    g = build_graph(edges)
     return g, {r: tuple(sorted(vs)) for r, vs in roles.items()}
 
 
@@ -87,33 +75,22 @@ def clique_ring(p, k):
     if p < 3 or k < 3:
         raise InputError("clique-ring needs p >= 3, k >= 3")
     n = p * (k - 1)
-    edges = []
-    joints = []
-    for i in range(p):
-        start = i * (k - 1) + 1
-        members = [start + t for t in range(k)]
-        members[-1] = (members[-1] - 1) % n + 1  # wrap the last clique onto vertex 1
-        edges += _clique_edges(members)
-        joints.append(start)
-    g = build_graph(edges)
-    joint_set = set(joints)
-    members = tuple(v for v in range(1, n + 1) if v not in joint_set)
-    return g, {"joint": tuple(sorted(joints)), "member": members}
+    joints = range(1, n + 1, k - 1)
+    # the last clique wraps onto vertex 1, its last member
+    g = build_graph(chain(_cliques(joints[:-1], k),
+                          combinations(chain(range(joints[-1], n + 1), (1,)), 2)))
+    members = tuple(v for v in range(1, n + 1) if (v - 1) % (k - 1))
+    return g, {"joint": tuple(joints), "member": members}
 
 
 def lone_triangle(pendants=1):
     """One triangle (labels 1..3) with `pendants` leaf vertices per corner."""
     if pendants < 0:
         raise InputError("lone-triangle needs pendants >= 0")
-    edges = [(1, 2), (1, 3), (2, 3)]
-    leaves = []
-    nxt = 4
-    for corner in (1, 2, 3):
-        for _ in range(pendants):
-            edges.append((corner, nxt))
-            leaves.append(nxt)
-            nxt += 1
-    g = build_graph(edges)
+    # corner c holds leaves 4 + (c - 1) * pendants onward
+    leaves = range(4, 4 + 3 * pendants)
+    g = build_graph(chain([(1, 2), (1, 3), (2, 3)],
+                          ((1 + (v - 4) // pendants, v) for v in leaves)))
     return g, {"triangle": (1, 2, 3), "pendant": tuple(leaves)}
 
 
@@ -136,12 +113,14 @@ def clique_bridge_hub(p=4, k=6):
     """Showcase variant of bridged cliques with the bridge labelled `a`."""
     if p < 1 or k < 2:
         raise InputError("needs p >= 1, k >= 2")
-    edges = []
-    for i in range(p):
-        members = [f"{chr(ord('b') + i)}{j}" for j in range(1, k + 1)]
-        edges += _clique_edges(members)
-        edges.append(("a", members[0]))
-    return build_graph(edges)
+
+    def edges():
+        for i in range(p):
+            members = [f"{chr(ord('b') + i)}{j}" for j in range(1, k + 1)]
+            yield from combinations(members, 2)
+            yield "a", members[0]
+
+    return build_graph(edges())
 
 
 def star_triangle_hub():
@@ -156,7 +135,7 @@ def star_triangle_hub():
 
 def clique_star_hub():
     """`a` inside a 5-clique, tied to a triangle gadget and a 9-leaf star hub."""
-    edges = _clique_edges(["a", "k1", "k2", "k3", "k4"])
+    edges = list(combinations(["a", "k1", "k2", "k3", "k4"], 2))
     edges += [("a", "c"), ("c", "c1"), ("c", "c2"), ("c1", "c2")]
     edges += [("a", "h")]
     edges += [("h", f"s{j}") for j in range(1, 10)]
@@ -197,16 +176,45 @@ GEN_FAMILIES = {
 }
 
 
+MAX_GEN_EDGES = 10**7  # generate_fixture refuses to list more edges
+
+
+def _pairs(k):
+    return max(k, 0) * (k - 1) // 2
+
+
+# edges each family with size parameters lists, from its GEN_FAMILIES entry's
+# parameters
+_EDGE_COUNTS = {
+    "clique": _pairs,
+    "disjoint-cliques": lambda p, k: p * _pairs(k),
+    "bridged-cliques": lambda p, k: p * (_pairs(k) + 1),
+    "clique-chain": lambda p, k: p * _pairs(k),
+    "clique-ring": lambda p, k: p * _pairs(k),
+    "lone-triangle": lambda pendants: 3 + 3 * pendants,
+    "clique-bridge-hub": lambda p, k: p * (_pairs(k) + 1),
+}
+
+
 def generate_fixture(family, **params):
     """Dispatch a named family with keyword parameters (CLI entry point).
 
-    A parameter the family does not take is an InputError, not ignored."""
+    A parameter the family does not take is an InputError, not ignored, and
+    so are parameters that would list more than ``MAX_GEN_EDGES`` edges,
+    refused before anything is built."""
     if family not in GEN_FAMILIES:
         raise InputError(f"unknown family {family!r}; have {sorted(GEN_FAMILIES)}")
     build = GEN_FAMILIES[family]
-    takes = inspect.signature(build).parameters
+    sig = inspect.signature(build)
     for name in params:
-        if name not in takes:
+        if name not in sig.parameters:
             raise InputError(f"family {family!r} takes no parameter {name!r} "
-                             f"(it takes: {', '.join(takes) or 'none'})")
+                             f"(it takes: {', '.join(sig.parameters) or 'none'})")
+    if family in _EDGE_COUNTS:
+        args = sig.bind(**params)
+        args.apply_defaults()
+        edges = _EDGE_COUNTS[family](**args.arguments)
+        if edges > MAX_GEN_EDGES:
+            raise InputError(f"family {family!r} would list {edges} edges; "
+                             f"the limit is {MAX_GEN_EDGES}")
     return build(**params)

@@ -12,13 +12,15 @@ up the closing edge of every pair of entries of one prefix with
 (`_hash_counts`) tests the same pairs against a hash table of the edges built
 in numpy. Both run one blocked pair loop (`_pair_counts` over
 `_prefix_pairs`), so their memory stays O(m). The pure-Python merge
-intersection (`triangle_neighbor`, over `_merge_counts`) is their oracle, and
-it also serves the PRAM route of :mod:`tricent.parallel` and the
-merge-comparison counts; `triangle_neighbor_alt` returns its lists. The
-set-intersection variant (`hash_intersection_tri_neighbors`), which looks the
-prefixes up in dicts instead of merging them, is kept as a cross-check of the
-merge. All routines agree on per-vertex counts, the global count, and the
-triangle-neighbor relation.
+intersection (`triangle_neighbor`, over `_merge_counts`) is their oracle and
+counts its comparisons as it runs; `triangle_neighbor_alt` returns its lists.
+The PRAM route of :mod:`tricent.parallel` runs the wedge kernel and takes the
+merge's comparison count in closed form from the prefix ends
+(`merge_comparison_count`), which the tests hold equal to the merge's own
+count. The set-intersection variant (`hash_intersection_tri_neighbors`),
+which looks the prefixes up in dicts instead of merging them, is kept as a
+cross-check of the merge. All routines agree on per-vertex counts, the
+global count, and the triangle-neighbor relation.
 """
 
 from dataclasses import dataclass
@@ -86,6 +88,36 @@ def _merge_counts(prefixes, poff, counts):
                 else:
                     y += 1
     return comparisons
+
+
+def merge_comparison_count(adj, total):
+    """The comparisons of :func:`_merge_counts` on ``adj``, without merging;
+    ``total`` is the graph's triangle count.
+
+    Take entry e = (v, u) with P(u), u's prefix, non-empty, and let t =
+    min(last(v), last(u)) for last(x) the largest id in P(x). The merge of
+    P(v) and P(u) stops at t, having stepped past every member <= t of both
+    prefixes; each comparison steps one pointer and a match steps both, so e
+    costs #{w in P(v) : w <= t} + #{w in P(u) : w <= t} - |P(v) ∩ P(u)|, and
+    entries with P(u) empty cost 0. Each triangle is matched at exactly one
+    entry, so the matches sum to ``total``. One of the two counts is a whole
+    prefix length; the other is one ``searchsorted`` of ``x * n + t`` among
+    the sorted entry keys ``lower * n + higher``, less ``prefix_offsets[x]``.
+    """
+    n, plen, poff = adj.n, adj.prefix_len, adj.prefix_offsets
+    e = np.flatnonzero(plen[adj.higher])
+    v, u = adj.lower[e], adj.higher[e]
+    last = np.zeros(n, dtype=np.int64)
+    has = plen > 0
+    last[has] = adj.higher[poff[1:][has] - 1]
+    lv, lu = last[v], last[u]
+    v_ends = lv <= lu
+    # the prefix that ends first is counted whole, the other up to its end t
+    whole = np.where(v_ends, plen[v], plen[u])
+    x = np.where(v_ends, u, v)
+    t = np.minimum(lv, lu)
+    part = np.searchsorted(adj.lower * n + adj.higher, x * n + t, side="right") - poff[x]
+    return int(whole.sum()) + int(part.sum()) - total
 
 
 # Entry pairs per block of _prefix_pairs. A block's index arrays are the

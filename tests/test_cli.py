@@ -1,6 +1,5 @@
 import io
 import json
-import math
 import os
 import re
 import subprocess
@@ -14,6 +13,7 @@ from test_mapreduce import GOLDEN_ROUNDS
 from tricent.cli import _ROUTES, main
 from tricent.generators import GEN_FAMILIES, load_fixture
 from tricent.graph import build_abbreviated_adjacency, degree_order, dump_edge_list
+from tricent.triangle import MergeTally, triangle_neighbor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -179,10 +179,14 @@ def test_stats_record_on_karate(capsys, karate_file, algo):
     work = record["work"]
     if algo == "parallel":
         g = load_fixture("karate")
-        p = build_abbreviated_adjacency(g, degree_order(g)).prefix_len.tolist()
+        adj = build_abbreviated_adjacency(g, degree_order(g))
+        p = adj.prefix_len.tolist()
         assert work["pair_tests"] == sum(x * (x - 1) // 2 for x in p)
-        assert work["triangles"] == 45
-        assert 0 < work["merge_comparisons"] <= 4 * g.m * math.sqrt(2 * g.m)
+        assert work["max_prefix"] == max(p)
+        tally = MergeTally()
+        triangle_neighbor(adj, tally)
+        assert work["triangles"] == tally.triangles == 45
+        assert work["merge_comparisons"] == tally.merge_comparisons
         assert list(work["phase_seconds"]) == ["setup", "detect", "fold"]
     elif algo == "mapreduce":
         assert [(r["map_records"], r["reduce_records"], r["est_bits"])
@@ -227,6 +231,23 @@ def test_gen_rejects_parameter_the_family_does_not_take(capsys, argv, name):
     code, out, err = run(capsys, "gen", *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and f"no parameter {name}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("clique", "--k", str(10**8)),
+    ("lone-triangle", "--pendants", str(10**9)),
+    ("clique-bridge-hub", "--k", str(10**5)),
+])
+def test_gen_refuses_oversized_families_before_building(capsys, monkeypatch, argv):
+    def refuse(edges):
+        raise AssertionError("tc gen started to build an oversized graph")
+
+    # the generators stream their edges into build_graph, so nothing sized by
+    # the parameters exists before it is called
+    monkeypatch.setattr("tricent.generators.build_graph", refuse)
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "the limit is 10000000" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,10 @@
+import inspect
+
 import pytest
 
 from tricent.errors import InputError
-from tricent.generators import (FIXTURES, book_with_satellite, bridged_cliques,
+from tricent.generators import (_EDGE_COUNTS, FIXTURES, GEN_FAMILIES, MAX_GEN_EDGES,
+                                book_with_satellite, bridged_cliques,
                                 clique, clique_bridge_hub, clique_chain,
                                 clique_ring, clique_star_hub, disjoint_cliques,
                                 generate_fixture, load_fixture, lone_triangle,
@@ -105,6 +108,32 @@ def test_generate_fixture_dispatch():
 def test_generate_fixture_rejects_parameters_not_taken(family, params):
     with pytest.raises(InputError, match=f"{family!r} takes no parameter"):
         generate_fixture(family, **params)
+
+
+@pytest.mark.parametrize("family", sorted(_EDGE_COUNTS))
+def test_edge_counts_are_the_edges_built(family):
+    build = GEN_FAMILIES[family]
+    params = inspect.signature(build).parameters
+    defaults = {name: p.default for name, p in params.items()}
+    # one more copy or clique member than the defaults, and the defaults
+    for bump in ({}, {name: value + 1 for name, value in defaults.items()}):
+        args = {**defaults, **bump}
+        assert _EDGE_COUNTS[family](**args) == build(**args).m
+    assert {f for f, b in GEN_FAMILIES.items()
+            if inspect.signature(b).parameters} == set(_EDGE_COUNTS)
+
+
+def test_generate_fixture_refuses_over_the_edge_limit(monkeypatch):
+    def refuse(edges):
+        raise AssertionError("generate_fixture started to build an oversized graph")
+
+    # K_4473 lists 10,001,628 edges and K_4472 9,997,156
+    assert _EDGE_COUNTS["clique"](4472) <= MAX_GEN_EDGES < _EDGE_COUNTS["clique"](4473)
+    monkeypatch.setattr("tricent.generators.build_graph", refuse)
+    with pytest.raises(InputError, match="would list 10001628 edges"):
+        generate_fixture("clique", k=4473)
+    with pytest.raises(InputError, match="needs k >= 2"):
+        generate_fixture("clique", k=-10**9)  # the family's own check
 
 
 def test_param_validation():

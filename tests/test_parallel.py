@@ -62,6 +62,13 @@ def test_empty_graph_counters_zero():
     assert counters.pair_tests == 0
     assert counters.triangles == 0
     assert counters.merge_comparisons == 0
+    assert counters.max_prefix == 0
+
+
+def test_max_prefix_is_the_longest_prefix():
+    g, _ = clique(12)  # the vertex ranked lowest sees the other 11 above it
+    _, counters = parallel_triangle_centrality(g)
+    assert counters.max_prefix == 11
 
 
 def test_huge_worker_count_starts_no_threads(monkeypatch):

@@ -14,9 +14,9 @@ from tricent.centrality import (closed_form_tc, triangle_centrality,
 from tricent.generators import clique_ring
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
 from tricent.parallel import parallel_triangle_centrality
-from tricent.triangle import (_stats_and_marks, hash_intersection_tri_neighbors,
-                              materialize_triangle_neighbors, triangle_neighbor_alt,
-                              wedge_counts)
+from tricent.triangle import (MergeTally, _stats_and_marks, hash_intersection_tri_neighbors,
+                              materialize_triangle_neighbors, triangle_neighbor,
+                              triangle_neighbor_alt, wedge_counts)
 
 TOL = 1e-12
 
@@ -46,10 +46,15 @@ def test_routes_agree_on_holme_kim(seed):
     for alt in (triangle_centrality_basic(g), triangle_centrality_algebraic(g)):
         assert alt.tri_total == ref.tri_total
         assert np.max(np.abs(alt.scores - ref.scores)) <= TOL
-    par, _ = parallel_triangle_centrality(g)
+    par, counters = parallel_triangle_centrality(g)
     assert np.array_equal(par.scores, ref.scores)  # bitwise
-    # the pure-Python variants against the lists from the main kernel's marks
+    # the route's closed-form merge count against one run of the merge
     adj = build_abbreviated_adjacency(g, degree_order(g))
+    tally = MergeTally()
+    triangle_neighbor(adj, tally)
+    assert (counters.merge_comparisons, counters.triangles) == (
+        tally.merge_comparisons, tally.triangles)
+    # the pure-Python variants against the lists from the main kernel's marks
     stats, marks = _stats_and_marks(adj, wedge_counts(adj), per_edge=False)
     lists = materialize_triangle_neighbors(adj, marks)
     alt_stats, alt_lists = triangle_neighbor_alt(adj)

@@ -7,7 +7,8 @@ import pytest
 from tricent import triangle
 from tricent.centrality import tc_from_triangles, triangle_centrality
 from tricent.errors import InputError
-from tricent.generators import book_with_satellite, clique, clique_ring, load_fixture
+from tricent.generators import (book_with_satellite, clique, clique_chain, clique_ring,
+                                load_fixture)
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order, row_lists
 from tricent.triangle import (BRUTE_FORCE_LIMIT, MergeTally, _hash_buckets, _hash_counts,
                               _hash_find, _hash_table, _merge_counts,
@@ -15,8 +16,8 @@ from tricent.triangle import (BRUTE_FORCE_LIMIT, MergeTally, _hash_buckets, _has
                               hash_intersection_tri_neighbors,
                               hash_neighbor_pair_count,
                               hash_neighbor_pair_tri_neighbors,
-                              materialize_triangle_neighbors, triangle_neighbor,
-                              triangle_neighbor_alt, wedge_counts)
+                              materialize_triangle_neighbors, merge_comparison_count,
+                              triangle_neighbor, triangle_neighbor_alt, wedge_counts)
 
 FIXTURE_NAMES = ("borgatti", "karate", "dolphins", "hijackers")
 
@@ -115,6 +116,24 @@ def test_merge_comparisons_bound(small_random_suite):
         tally = MergeTally()
         triangle_neighbor(ordered(g), tally=tally)
         assert tally.merge_comparisons <= 2 * g.m * math.sqrt(2 * g.m)
+
+
+def test_merge_comparison_count_equals_the_merge(random_suite_500):
+    shapes = [
+        build_graph([]),
+        build_graph([(1, 2), (2, 3), (1, 3), (9, 9)]),  # 9 has no neighbors
+        path(30),
+        star(30),  # the hub ranks last, so every entry's far prefix is empty
+        k_n(40),  # prefixes up to 39 long, about sqrt(2m)
+        clique_ring(3, 5)[0],
+        clique_chain(4, 5)[0],
+    ]
+    for g in shapes + random_suite_500:
+        adj = ordered(g)
+        tally = MergeTally()
+        triangle_neighbor(adj, tally)
+        assert merge_comparison_count(adj, tally.triangles) == tally.merge_comparisons
+    assert merge_comparison_count(ordered(star(30)), 0) == 0
 
 
 def test_per_edge_counts_align_with_marks(small_random_suite):
