@@ -115,7 +115,7 @@ def test_edge_counts_are_the_edges_built(family):
     build = GEN_FAMILIES[family]
     params = inspect.signature(build).parameters
     defaults = {name: p.default for name, p in params.items()}
-    # one more copy or clique member than the defaults, and the defaults
+    # at the defaults, and at one more of each parameter
     for bump in ({}, {name: value + 1 for name, value in defaults.items()}):
         args = {**defaults, **bump}
         assert _EDGE_COUNTS[family](**args) == build(**args).m
