@@ -2,9 +2,9 @@
 
 Subcommands: compute, compare, gen, bench. Scores stream to stdout as
 `label<TAB>score` sorted by rank (ties by label). A run record (route, graph
-shape, triangle total, seconds, the route's work counters) is one JSON line:
-`compute --stats` writes it to stderr, `bench` one per file and route to
-stdout. The route table `_ROUTES` is the one list of `--algo` names.
+shape, triangle total, seconds, the route's work counters, peak RSS) is one
+JSON line: `compute --stats` writes it to stderr, `bench` one per file and
+route to stdout. The route table `_ROUTES` is the one list of `--algo` names.
 Exit codes: 0 ok, 1 usage, 2 I/O (silent when stdout is a pipe closed early),
 3 internal consistency.
 """
@@ -116,7 +116,12 @@ def _run(g, algo):
 
 
 def _write_record(record, out):
-    out.write(json.dumps(record, default=dataclasses.asdict) + "\n")
+    """Write ``record`` with the process's peak RSS so far, in MB."""
+    import resource  # here, not at start-up: only a written record reads it
+
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    out.write(json.dumps({**record, "peak_rss_mb": peak_rss_mb},
+                         default=dataclasses.asdict) + "\n")
 
 
 def _cmd_compute(args):

@@ -10,6 +10,12 @@ Edge-list text is tokenized and coded in numpy over its UTF-8 bytes (see
 ``_code_tokens``): Python creates one object per distinct label, not one per
 token. ``build_graph`` codes Python labels with a dict; both routes share the
 CSR step, ``_graph_from_ids``.
+
+Ingest keeps its per-token arrays narrow and short-lived: token starts,
+lengths and coded ids are int32 (int64 only for inputs of 2**31 bytes or
+more), the packed arc keys of the CSR step are int64 (``n * n`` can pass
+2**31), and each per-token temporary is dropped as soon as it has been used.
+A Graph's ``offsets`` and ``neighbors`` are int64 whatever the ingest widths.
 """
 
 import re
@@ -17,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 
 
 class Graph:
@@ -77,13 +83,30 @@ _KEEP = np.array([[(1 << 64) - (1 << (64 - 8 * min(max(length - 8 * k, 0), 8)))
                   for k in range(_MAX_KEY_WORDS)], dtype=np.uint64)
 
 
+def _index_dtype(size):
+    """int32 when every index below ``size`` fits in it, else int64."""
+    return np.int32 if size < 2 ** 31 else np.int64
+
+
+def _changes(a, before):
+    """Where ``a`` differs from its previous element (``before`` for the first)."""
+    out = np.empty(a.shape[0], dtype=bool)
+    out[:1] = a[:1] != before
+    np.not_equal(a[1:], a[:-1], out=out[1:])
+    return out
+
+
 def _raise_bad_line(text, source):
-    """Raise InputError for the first line that is neither blank nor two tokens."""
+    """Raise InputError for the first line that is neither blank nor two
+    tokens. Every caller has found tokens that do not pair up by line, so
+    finding no such line is an internal fault: ConsistencyError."""
     for lineno, line in enumerate(text.split("\n"), start=1):
         tokens = line.split()
         if tokens and len(tokens) != 2:
             raise InputError(f"{source}:{lineno}: expected two tokens, "
                              f"got {len(tokens)}: {line.strip()!r}")
+    raise ConsistencyError(f"{source}: the tokens do not pair up by line, "
+                           "yet no line holds other than two tokens")
 
 
 def _code_labels(ends):
@@ -94,7 +117,8 @@ def _code_labels(ends):
         raise InputError("edge labels must be mutually comparable "
                          "(all ints or all strings)") from exc
     index = dict(zip(labels, range(len(labels))))
-    return labels, np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=len(ends))
+    return labels, np.fromiter(map(index.__getitem__, ends),
+                               dtype=_index_dtype(len(ends)), count=len(ends))
 
 
 def _code_tokens(text, source):
@@ -108,28 +132,36 @@ def _code_tokens(text, source):
     byte of a key is masking). UTF-8 byte order is code point order, so the keys sort
     tokens as ``sorted()`` sorts strings. Tokens over ``8 * _MAX_KEY_WORDS``
     bytes are coded in Python.
+
+    Token starts, lengths and the returned ids are int32, or int64 when the
+    padded bytes reach 2**31; the key words are uint64. Each per-token
+    temporary is dropped as soon as it has been used, so that the text, its
+    bytes and a few narrow arrays make the peak.
     """
     spaced = text if text.isascii() else _WIDE_SPACE.sub(" ", text)
     # padded with spaces, so that every word read at a token start is in
     # bounds and the byte after every token is whitespace
     data = (spaced + " " * (8 * _MAX_KEY_WORDS)).encode("utf-8", "surrogatepass")
     del spaced
-    # tokens start and end where the in-token flag flips, so the flips
-    # alternate start, end, start, end, ...
-    flag = np.frombuffer(b"\0" + data.translate(_IN_TOKEN), dtype=bool)
-    bounds = np.flatnonzero(flag[1:] != flag[:-1])
-    del flag
-    starts, ends = bounds[0::2], bounds[1::2]
-    # every non-blank line holds two tokens: pairs share a line, pairs do not
+    index = _index_dtype(len(data))
     raw = np.frombuffer(data, dtype=np.uint8)
-    line = np.searchsorted(np.flatnonzero(raw == 10), starts)
-    if (line.shape[0] % 2 or (line[0::2] != line[1::2]).any()
-            or (line[2::2] == line[1:-1:2]).any()):
+    # tokens start and end where the in-token flag flips (from out of token
+    # before byte 0), so the flips alternate start, end, start, end, ...
+    flips = _changes(np.frombuffer(data.translate(_IN_TOKEN), dtype=bool), False)
+    bounds = np.flatnonzero(flips)
+    del flips
+    if bounds.shape[0] == 0:
+        return [], np.zeros(0, dtype=index)
+    # every non-blank line holds two tokens: no newline in the gap after the
+    # first token of a pair, one in the gap after the second (but the last)
+    gaps = np.logical_or.reduceat(raw == 10, bounds)[1::2]
+    if gaps.shape[0] % 2 or gaps[0::2].any() or not gaps[1:-1:2].all():
         _raise_bad_line(text, source)
-    del line
-    if starts.shape[0] == 0:
-        return [], np.zeros(0, dtype=np.int64)
-    length = ends - starts
+    del gaps
+    starts = bounds[0::2].astype(index)
+    length = bounds[1::2].astype(index)
+    del bounds
+    length -= starts
     words = -(-int(length.max()) // 8)
     if words > _MAX_KEY_WORDS:
         return _code_labels(text.split())
@@ -144,18 +176,21 @@ def _code_tokens(text, source):
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
     first = np.zeros(order.shape[0], dtype=bool)  # first of a distinct token, sorted
     first[0] = True
-    for key in keys:
-        key = key[order]
+    while keys:
+        key = keys.pop()[order]
         first[1:] |= key[1:] != key[:-1]
-    ids = np.empty(order.shape[0], dtype=np.int64)
-    ids[order] = np.cumsum(first) - 1
+    del key
+    ids = np.empty(order.shape[0], dtype=index)
+    ids[order] = np.cumsum(first, dtype=index)
+    ids -= 1
+    at = order[first]
+    del order, first
     # the distinct tokens, each with the whitespace byte after it, in one decode:
     # the byte index climbs by one inside a token and jumps to the next start
-    at = order[first]
     size = length[at] + 1
     step = np.ones(size.sum(), dtype=np.int64)
     step[0] = starts[at[0]]
-    step[np.cumsum(size[:-1])] = starts[at[1:]] - ends[at[:-1]]
+    step[np.cumsum(size[:-1])] = starts[at[1:]] - starts[at[:-1]] - length[at[:-1]]
     distinct = raw[np.cumsum(step)].tobytes().decode("utf-8", "surrogatepass")
     return distinct.split(), ids
 
@@ -184,16 +219,24 @@ def _code_text(text, source):
 
 
 def _graph_from_ids(labels, ids):
-    """Graph from sorted distinct labels and flat endpoint ids."""
+    """Graph from sorted distinct labels and flat endpoint ids of any integer
+    width. The ids are widened to int64 only in the packed arc keys, since
+    ``n * n`` can pass 2**31; the Graph's arrays are int64."""
     n = len(labels)
     a, b = ids[0::2], ids[1::2]
-    loops = a == b
-    a, b = a[~loops], b[~loops]
+    keep = a != b
+    a, b = a[keep], b[keep]
     # both orientations of every edge as packed (row, neighbor) keys, sorted
-    # (rows by id, each row by neighbor id) and without duplicates; a sort
-    # and a mask, since np.unique may hash first and is several times slower
-    arcs = np.sort(np.concatenate((a * n + b, b * n + a)))
-    arcs = arcs[np.diff(arcs, prepend=-1) != 0]
+    # in place (rows by id, each row by neighbor id) and without duplicates;
+    # a sort and a mask, since np.unique may hash first and is several times slower
+    half = a.shape[0]
+    arcs = np.concatenate((a, b), dtype=np.int64)
+    arcs *= n
+    arcs[:half] += b
+    arcs[half:] += a
+    del a, b
+    arcs.sort()
+    arcs = arcs[_changes(arcs, -1)]
     rows, neighbors = np.divmod(arcs, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
@@ -247,7 +290,9 @@ def load_edge_list(path_or_file):
                 text = sys.stdin.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{source}: not UTF-8 text: {exc}") from exc
-    return _graph_from_ids(*_code_text(text, source))
+    labels, ids = _code_text(text, source)
+    del text  # the build needs only the coded ids
+    return _graph_from_ids(labels, ids)
 
 
 def dump_edge_list(g, file):

@@ -1,10 +1,23 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from tricent.compare import EXACT_PATH_LIMIT
 from tricent.graph import build_graph
+
+
+@pytest.fixture(scope="session")
+def bench_gen():
+    """The benchmark's generators (``perfbench/gen.py``), loaded by path
+    under their own module name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def er_graph(n, p, rng):

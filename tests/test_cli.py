@@ -41,8 +41,8 @@ def stats_record(capsys, path, algo):
 
 
 def untimed(record):
-    """A run record without its graph path and its timings."""
-    record = {k: v for k, v in record.items() if k not in ("graph", "seconds")}
+    """A run record without its graph path, its timings and its peak RSS."""
+    record = {k: v for k, v in record.items() if k not in ("graph", "seconds", "peak_rss_mb")}
     if isinstance(record["work"], dict):
         record["work"] = {k: v for k, v in record["work"].items() if k != "phase_seconds"}
     return record
@@ -173,9 +173,10 @@ def test_stats_flag(capsys, karate_file):
 @pytest.mark.parametrize("algo", list(_ROUTES))
 def test_stats_record_on_karate(capsys, karate_file, algo):
     record = stats_record(capsys, karate_file, algo)
-    assert list(record) == ["algo", "n", "m", "triangles", "seconds", "work"]
+    assert list(record) == ["algo", "n", "m", "triangles", "seconds", "work", "peak_rss_mb"]
     assert (record["algo"], record["n"], record["m"], record["triangles"]) == (algo, 34, 78, 45)
     assert record["seconds"] >= 0.0
+    assert record["peak_rss_mb"] > 0.0
     work = record["work"]
     if algo == "parallel":
         g = load_fixture("karate")

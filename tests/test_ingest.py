@@ -8,16 +8,19 @@ or a vectorized ranking must reproduce that output byte for byte.
 import hashlib
 import io
 import random
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tricent.centrality import triangle_centrality
 from tricent.cli import main
-from tricent.errors import InputError
+from tricent.errors import ConsistencyError, InputError
 from tricent.generators import FIXTURES, load_fixture
-from tricent.graph import build_graph, load_edge_list, parse_edge_list
+from tricent.graph import _raise_bad_line, build_graph, load_edge_list, parse_edge_list
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "tricent" / "fixtures"
 
@@ -207,6 +210,51 @@ def scale_text(kind, seed, lines=100_000):
 @pytest.mark.parametrize("kind", ["strings", "integers"])
 def test_load_edge_list_matches_reference_at_scale(kind):
     assert_loads_as_reference(scale_text(kind, seed=13))
+
+
+def test_load_edge_list_peak_memory_is_bounded(tmp_path, bench_gen):
+    # the benchmark's dirty G(n, m): string labels, both orientations,
+    # duplicates and self-loops. Keeping int64 arrays for every token until
+    # the end of the coding takes about 89 bytes a token; narrow arrays,
+    # dropped as soon as used, about 49
+    edges = bench_gen.dirty_er(12_000, 50_000, 1)
+    path = tmp_path / "er.txt"
+    edges.write(path)
+    tokens = 2 * edges.a.shape[0]
+    assert tokens >= 200_000
+    tracemalloc.start()
+    try:
+        g = load_edge_list(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 50_000
+    assert peak < 60 * tokens, f"{peak / tokens:.1f} bytes a token"
+
+
+def test_arc_keys_are_int64_when_n_squared_passes_int32():
+    # 50,003 labels, so a * n + b passes 2**31 for the triangle at the end,
+    # where int32 keys would wrap without a warning
+    pairs = [(v, v + 1) for v in range(49_999)] + [(50_000, 50_001), (50_001, 50_002),
+                                                   (50_002, 50_000)]
+    text = "".join(f"{a} {b}\n" for a, b in pairs)
+    g = load_edge_list(io.StringIO(text))
+    assert g.n ** 2 > 2 ** 31
+    assert g.offsets.dtype == g.neighbors.dtype == np.int64
+    built = build_graph(pairs)
+    assert built.labels == g.labels
+    assert built.offsets.tolist() == g.offsets.tolist()
+    assert built.neighbors.tolist() == g.neighbors.tolist()
+    # both builds share the CSR step; the per-line reference does not
+    assert_loads_as_reference(text)
+    assert triangle_centrality(g).tri_total == 1
+
+
+def test_bad_line_search_that_finds_none_is_a_consistency_error():
+    # the search runs only when the tokens do not pair up by line, so a
+    # text whose every line is blank or two tokens means a fault in ingest
+    with pytest.raises(ConsistencyError, match=r"^<x>: the tokens do not pair up by line"):
+        _raise_bad_line("1 2\n\n3\t4\n", "<x>")
 
 
 def test_nul_ties_are_broken_by_length():

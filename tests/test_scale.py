@@ -1,9 +1,6 @@
 """Closed forms and route agreement at n = 20,000-80,000, a size the n <= 64
 criteria never reach, on the benchmark's own Holme-Kim generator."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,12 +17,6 @@ from tricent.triangle import (MergeTally, _stats_and_marks, hash_intersection_tr
 
 TOL = 1e-12
 
-# the benchmark's generators, loaded by path under their own module name
-_GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
-
 
 def test_large_clique_ring_meets_closed_form():
     p, k = 20000, 5
@@ -39,8 +30,8 @@ def test_large_clique_ring_meets_closed_form():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_routes_agree_on_holme_kim(seed):
-    edges = gen.holme_kim(20000, 5, 0.8, seed)
+def test_routes_agree_on_holme_kim(bench_gen, seed):
+    edges = bench_gen.holme_kim(20000, 5, 0.8, seed)
     g = build_graph(zip(edges.a.tolist(), edges.b.tolist()))
     ref = triangle_centrality(g)
     for alt in (triangle_centrality_basic(g), triangle_centrality_algebraic(g)):
