@@ -1,10 +1,10 @@
-"""Compute the same scores along four independent routes and diff them.
+"""Compute the same scores along every route and diff them.
 
 main      vectorized wedge checks inside sorted higher-ordered adjacency
           prefixes, no hashing, each triangle found exactly once
 basic     hash-set edge lookups over neighbor pairs
 algebraic sparse matrices: (3A - 2*binarize(T) + I) @ (T @ 1) / sum(T)
-parallel  the PRAM route: the wedge kernel plus work counters, its merge
+parallel  the PRAM route: main's kernel plus work counters, its merge
           comparisons exact, computed from the prefix ends (tested equal to
           the merge kernel's count), then the same fold
 """

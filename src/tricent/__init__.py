@@ -1,9 +1,10 @@
 """Triangle centrality for simple undirected graphs.
 
-Four independent implementations (combinatorial main path, hash-based
-reference, sparse algebraic, deterministic parallel) plus a MapReduce-style
-round simulator, closed-form family evaluators, and comparison tooling
-against five classical centrality measures.
+Five routes to the same scores (the combinatorial main path, the hash-based
+basic reference, the sparse algebraic form, the deterministic parallel route
+with its work counters, and a MapReduce-style round simulator), closed-form
+family evaluators, and comparison tooling against five classical centrality
+measures.
 """
 
 from .algebraic import (adjacency_matrix, build_triangle_matrix, tc_algebraic,
@@ -27,9 +28,9 @@ from .graph import (Graph, OrderedAdjacency, build_abbreviated_adjacency,
 from .mapreduce import RoundStats, run_mapreduce_tc
 from .parallel import ParallelConfig, WorkCounters, parallel_triangle_centrality
 from .triangle import (MergeTally, TriangleStats, brute_force_triangles,
-                       hash_intersection_tri_neighbors, hash_neighbor_pair_count,
+                       count_triangles, hash_intersection_tri_neighbors,
                        hash_neighbor_pair_tri_neighbors,
                        materialize_triangle_neighbors, merge_comparison_count,
-                       triangle_neighbor, triangle_neighbor_alt, wedge_counts)
+                       triangle_neighbor, wedge_counts)
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 
 T holds per-edge triangle counts on the adjacency pattern (the elementwise
 product of the squared adjacency matrix with itself). It is built here from
-the per-edge counts of the blocked wedge-check kernel
-(`tricent.triangle.wedge_counts`) rather than by matrix multiplication,
-which is both faster and exact in int64. With y = T @ 1, the score vector is
+the per-entry counts of the production kernel's wedge check
+(`tricent.triangle.wedge_counts`), spread over both orientations of each
+edge by `edge_count_arrays`, rather than by matrix multiplication, which is
+both faster and exact in int64. With y = T @ 1, the score vector is
 (3A - 2*binarize(T) + I) @ y over the grand total, evaluated as the int64
 vector 3*(A @ y) - 2*(binarize(T) @ y) + y, so no sparse sum is built; the
 final division is the only float step.
@@ -17,7 +18,7 @@ import numpy as np
 from .centrality import CentralityVector
 from .errors import ConsistencyError, InputError
 from .graph import build_abbreviated_adjacency, degree_order
-from .triangle import _stats_and_marks, edge_count_arrays, wedge_counts
+from .triangle import edge_count_arrays, wedge_counts
 
 
 def adjacency_matrix(g):
@@ -37,8 +38,7 @@ def build_triangle_matrix(g):
     import scipy.sparse as sp
 
     adj = build_abbreviated_adjacency(g, degree_order(g))
-    stats, _ = _stats_and_marks(adj, wedge_counts(adj), per_edge=True)
-    i, j, c = edge_count_arrays(adj, stats)
+    i, j, c = edge_count_arrays(adj, wedge_counts(adj))
     return sp.csr_matrix((c, (i, j)), shape=(g.n, g.n))
 
 

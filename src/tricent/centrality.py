@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import build_abbreviated_adjacency, degree_order
-from .triangle import (_stats_and_marks, hash_neighbor_pair_tri_neighbors, marked_pairs,
-                       wedge_counts)
+from .triangle import count_triangles, hash_neighbor_pair_tri_neighbors, marked_pairs
 
 
 @dataclass
@@ -78,11 +77,11 @@ def tc_from_triangles(g, stats, neighborhood=None, adj=None, marks=None, method=
 
 
 def triangle_centrality(g):
-    """Production pipeline: degree order, abbreviated adjacency, per-edge
-    triangle counts from the blocked wedge-check kernel, the counts and marks
-    derived from them, then the score fold over marks."""
+    """Production pipeline: degree order, abbreviated adjacency, the counts
+    and marks of the production kernel (``count_triangles``), then the score
+    fold over marks."""
     adj = build_abbreviated_adjacency(g, degree_order(g))
-    stats, marks = _stats_and_marks(adj, wedge_counts(adj), per_edge=False)
+    stats, marks = count_triangles(adj)
     return tc_from_triangles(g, stats, adj=adj, marks=marks, method="main")
 
 

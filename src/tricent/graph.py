@@ -141,7 +141,8 @@ def _code_tokens(text, source):
     spaced = text if text.isascii() else _WIDE_SPACE.sub(" ", text)
     # padded with spaces, so that every word read at a token start is in
     # bounds and the byte after every token is whitespace
-    data = (spaced + " " * (8 * _MAX_KEY_WORDS)).encode("utf-8", "surrogatepass")
+    # encoded first: padding the str would copy it at up to 4 bytes a character
+    data = spaced.encode("utf-8", "surrogatepass") + b" " * (8 * _MAX_KEY_WORDS)
     del spaced
     index = _index_dtype(len(data))
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -266,33 +267,37 @@ def parse_edge_list(fh, source="<input>"):
     return list(zip(ends[0::2].tolist(), ends[1::2].tolist()))
 
 
+def _read_text(path_or_file, source):
+    """The whole text of a path, '-' for stdin, or an open file; input that is
+    not UTF-8 raises OSError naming ``source``."""
+    try:
+        if hasattr(path_or_file, "read"):
+            return path_or_file.read()
+        if path_or_file != "-":
+            with open(path_or_file, encoding="utf-8") as fh:
+                return fh.read()
+        if hasattr(sys.stdin, "buffer"):
+            # decoded here, not by sys.stdin, whose error handler may pass
+            # any byte through; newlines translated as in text mode
+            text = sys.stdin.buffer.read().decode("utf-8")
+            return text.replace("\r\n", "\n").replace("\r", "\n")
+        return sys.stdin.read()  # stdin replaced by a text stream
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{source}: not UTF-8 text: {exc}") from exc
+
+
 def load_edge_list(path_or_file):
     """Read an edge-list file (path, '-' for stdin, or open file) into a Graph.
 
     Input that is not UTF-8 raises OSError naming the source.
     """
-    try:
-        if hasattr(path_or_file, "read"):
-            source = getattr(path_or_file, "name", "<stream>")
-            text = path_or_file.read()
-        elif path_or_file != "-":
-            source = str(path_or_file)
-            with open(path_or_file, encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            source = "<stdin>"
-            if hasattr(sys.stdin, "buffer"):
-                # decoded here, not by sys.stdin, whose error handler may pass
-                # any byte through; newlines translated as in text mode
-                text = sys.stdin.buffer.read().decode("utf-8")
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            else:  # stdin replaced by a text stream
-                text = sys.stdin.read()
-    except UnicodeDecodeError as exc:
-        raise OSError(f"{source}: not UTF-8 text: {exc}") from exc
-    labels, ids = _code_text(text, source)
-    del text  # the build needs only the coded ids
-    return _graph_from_ids(labels, ids)
+    if hasattr(path_or_file, "read"):
+        source = getattr(path_or_file, "name", "<stream>")
+    else:
+        source = "<stdin>" if path_or_file == "-" else str(path_or_file)
+    # the text is passed as a temporary, so _code_text holds its only
+    # reference and frees it when blanking comments makes a new copy
+    return _graph_from_ids(*_code_text(_read_text(path_or_file, source), source))
 
 
 def dump_edge_list(g, file):

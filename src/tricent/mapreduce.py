@@ -43,12 +43,9 @@ class RoundStats:
 def annotate_edges(g):
     """Degree-annotated directed edges ((v, d(v)), (u, d(u))), both orientations."""
     deg = g.degrees
-    out = []
-    for v in range(g.n):
-        dv = int(deg[v])
-        for u in g.neighbors_of(v).tolist():
-            out.append(((v, dv), (u, int(deg[u]))))
-    return out
+    d = deg.tolist()
+    rows = np.repeat(np.arange(g.n), deg).tolist()
+    return [((v, d[v]), (u, d[u])) for v, u in zip(rows, g.neighbors.tolist())]
 
 
 def _check_annotations(records):

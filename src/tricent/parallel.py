@@ -1,8 +1,8 @@
 """The paper's CREW-PRAM route, kept for its work bound.
 
-The route is the main pipeline's steps plus work counters: the wedge kernel
-of :mod:`tricent.triangle` (``wedge_counts``) finds the triangles, the
-prefix lengths give the pair tests and the longest prefix, and the merge
+The route is the main pipeline's steps plus work counters: the production
+kernel (``count_triangles`` of :mod:`tricent.triangle`) finds the triangles,
+the prefix lengths give the pair tests and the longest prefix, and the merge
 comparisons that the merge kernel would make are computed exactly from the
 prefix ends (``merge_comparison_count``, tested equal to the count of
 ``triangle_neighbor``) without running the merge. The score fold of
@@ -21,7 +21,7 @@ import numpy as np
 
 from .centrality import tc_from_triangles
 from .graph import build_abbreviated_adjacency, degree_order
-from .triangle import MergeTally, _stats_and_marks, merge_comparison_count, wedge_counts
+from .triangle import MergeTally, count_triangles, merge_comparison_count
 
 
 @dataclass
@@ -51,7 +51,7 @@ def parallel_triangle_centrality(g, cfg=None):
     counters.phase_seconds["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    stats, marks = _stats_and_marks(adj, wedge_counts(adj), per_edge=False)
+    stats, marks = count_triangles(adj)
     counters.triangles = stats.total
     counters.merge_comparisons = merge_comparison_count(adj, stats.total)
     counters.phase_seconds["detect"] = time.perf_counter() - t0

@@ -5,22 +5,20 @@ adjacency's packed prefix entries, one per edge (``adj.lower[e]``,
 ``adj.higher[e]``), and reports one triangle count per entry: each triangle
 counts on its three entries. The per-vertex and global counts, the
 triangle-neighbor marks and the sorted lists are assembled from those counts
-by the shared `_stats_and_marks` and `materialize_triangle_neighbors`. The
-production path is the vectorized wedge check (`wedge_counts`): numpy looks
-up the closing edge of every pair of entries of one prefix with
-`searchsorted` among the sorted entry keys. The basic route's kernel
-(`_hash_counts`) tests the same pairs against a hash table of the edges built
-in numpy. Both run one blocked pair loop (`_pair_counts` over
-`_prefix_pairs`), so their memory stays O(m). The pure-Python merge
-intersection (`triangle_neighbor`, over `_merge_counts`) is their oracle and
-counts its comparisons as it runs; `triangle_neighbor_alt` returns its lists.
-The PRAM route of :mod:`tricent.parallel` runs the wedge kernel and takes the
-merge's comparison count in closed form from the prefix ends
-(`merge_comparison_count`), which the tests hold equal to the merge's own
-count. The set-intersection variant (`hash_intersection_tri_neighbors`),
-which looks the prefixes up in dicts instead of merging them, is kept as a
-cross-check of the merge. All routines agree on per-vertex counts, the
-global count, and the triangle-neighbor relation.
+by the shared `_stats_and_marks` and `materialize_triangle_neighbors`. There
+is one public routine per kernel. `count_triangles` is the production
+kernel, which the main and PRAM routes call: the vectorized wedge check
+(`wedge_counts`) looks up the closing edge of every pair of entries of one
+prefix with `searchsorted` among the sorted entry keys. The basic route's
+`hash_neighbor_pair_tri_neighbors` (`_hash_counts`) tests the same pairs
+against a hash table of the edges built in numpy; both run one blocked pair
+loop (`_pair_counts` over `_prefix_pairs`), so their memory stays O(m). The
+pure-Python merge intersection `triangle_neighbor` (over `_merge_counts`)
+counts its comparisons as it runs; the PRAM route takes that count in closed
+form from the prefix ends (`merge_comparison_count`). The set-intersection
+variant `hash_intersection_tri_neighbors` looks the prefixes up in dicts
+instead of merging them. All four agree with the oracle on per-vertex
+counts, the global count, and the triangle-neighbor relation.
 """
 
 from dataclasses import dataclass
@@ -35,9 +33,10 @@ from .graph import row_lists
 class TriangleStats:
     """Per-vertex counts, the global count, and optional per-edge counts.
 
-    ``per_edge`` holds one count per packed prefix entry, so the count of
-    triangles on edge {u,v} sits at the lower-ordered endpoint's prefix entry
-    for the other. Use :func:`edge_count_arrays` for the symmetric view.
+    ``per_edge``, set by :func:`triangle_neighbor` only, holds one count per
+    packed prefix entry, so the count of triangles on edge {u,v} sits at the
+    lower-ordered endpoint's prefix entry for the other. Pass it to
+    :func:`edge_count_arrays` for the symmetric view.
     """
 
     per_vertex: np.ndarray
@@ -279,12 +278,11 @@ def _hash_counts(adj):
     return _pair_counts(adj, find)
 
 
-def _stats_and_marks(adj, counts, per_edge):
+def _stats_and_marks(adj, counts):
     """Stats and marks from the kernel's per-entry triangle counts: a triangle
     at v lies on two of v's edges and on three edges in all, and an entry is a
     triangle-neighbor pair iff its count is positive. The marks are a bool
-    array over the m prefix entries."""
-    counts = np.asarray(counts, dtype=np.int64)
+    array over the m prefix entries; ``counts`` is an int64 array."""
     e = np.flatnonzero(counts)
     v, u = adj.lower[e], adj.higher[e]
     # float sums of integer counts, exact far beyond any count a graph reaches
@@ -292,9 +290,15 @@ def _stats_and_marks(adj, counts, per_edge):
     halves = (np.bincount(v, weights=w, minlength=adj.n)
               + np.bincount(u, weights=w, minlength=adj.n))
     stats = TriangleStats(per_vertex=halves.astype(np.int64) // 2,
-                          total=int(counts.sum()) // 3,
-                          per_edge=counts if per_edge else None)
+                          total=int(counts.sum()) // 3)
     return stats, counts > 0
+
+
+def count_triangles(adj):
+    """The production kernel: per-vertex and global counts and the marks from
+    the per-entry counts of :func:`wedge_counts`. The stats carry no per-edge
+    counts."""
+    return _stats_and_marks(adj, wedge_counts(adj))
 
 
 def triangle_neighbor(adj, tally=None, per_edge=True):
@@ -302,12 +306,15 @@ def triangle_neighbor(adj, tally=None, per_edge=True):
 
     The kernel counts the triangles on every prefix edge; per-vertex and
     global counts, the marks and (by default) the per-edge counts are derived
-    from those counts.
+    from those counts. It is the one routine whose stats carry ``per_edge``.
     """
     counts = [0] * adj.m
     poff = adj.prefix_offsets
     comparisons = _merge_counts(row_lists(adj.higher, poff), poff.tolist(), counts)
-    stats, marks = _stats_and_marks(adj, counts, per_edge)
+    counts = np.array(counts, dtype=np.int64)
+    stats, marks = _stats_and_marks(adj, counts)
+    if per_edge:
+        stats.per_edge = counts
     if tally is not None:
         tally.merge_comparisons += comparisons
         tally.triangles += stats.total
@@ -331,19 +338,6 @@ def materialize_triangle_neighbors(adj, marks):
     return row_lists(dst[np.argsort(src * adj.n + dst)], offsets)
 
 
-def triangle_neighbor_alt(adj):
-    """The merge kernel of :func:`triangle_neighbor`, returning the stats and
-    the symmetric sorted triangle-neighbor lists instead of the marks."""
-    stats, marks = triangle_neighbor(adj, per_edge=False)
-    return stats, materialize_triangle_neighbors(adj, marks)
-
-
-def hash_neighbor_pair_count(g, adj):
-    """Triangle counts from the hash-based prefix-pair test of
-    :func:`hash_neighbor_pair_tri_neighbors`, without the lists."""
-    return _stats_and_marks(adj, _hash_counts(adj), per_edge=False)[0]
-
-
 def hash_neighbor_pair_tri_neighbors(g, adj):
     """Hash-based detection: each pair of higher-ordered neighbors is looked up
     once in a hash table of the edges, and each triangle counts on its three
@@ -352,7 +346,7 @@ def hash_neighbor_pair_tri_neighbors(g, adj):
     The symmetric sorted lists come from the marked entries. ``g`` is not
     read: every edge of it is a prefix entry of ``adj``.
     """
-    stats, marks = _stats_and_marks(adj, _hash_counts(adj), per_edge=False)
+    stats, marks = _stats_and_marks(adj, _hash_counts(adj))
     return stats, materialize_triangle_neighbors(adj, marks)
 
 
@@ -407,11 +401,10 @@ def brute_force_triangles(g):
     return stats, [sorted(s) for s in tri_nbrs]
 
 
-def edge_count_arrays(adj, stats):
+def edge_count_arrays(adj, counts):
     """Symmetric per-edge triangle counts as ``(rows, cols, counts)`` int64
-    arrays, both orientations of every edge in at least one triangle."""
-    if stats.per_edge is None:
-        raise InputError("stats carry no per-edge counts")
-    e = np.flatnonzero(stats.per_edge)
-    c = stats.per_edge[e]
+    arrays, both orientations of every edge in at least one triangle, from a
+    kernel's per-entry ``counts``."""
+    e = np.flatnonzero(counts)
+    c = counts[e]
     return *marked_pairs(adj, e), np.concatenate((c, c))

@@ -23,12 +23,10 @@ from tricent.generators import triad_hub
 from tricent.graph import build_abbreviated_adjacency, degree_order
 from tricent.mapreduce import RECORD_BITS, run_mapreduce_tc
 from tricent.parallel import ParallelConfig, parallel_triangle_centrality
-from tricent.triangle import (MergeTally, brute_force_triangles,
+from tricent.triangle import (MergeTally, brute_force_triangles, count_triangles,
                               hash_intersection_tri_neighbors,
-                              hash_neighbor_pair_count,
                               hash_neighbor_pair_tri_neighbors,
-                              materialize_triangle_neighbors, triangle_neighbor,
-                              triangle_neighbor_alt)
+                              materialize_triangle_neighbors, triangle_neighbor)
 
 TOL = 1e-12
 
@@ -181,19 +179,20 @@ def test_c07_triangle_oracle(random_suite_500):
     for g in random_suite_500:
         adj = ordered(g)
         ref_stats, ref_nbh = brute_force_triangles(g)
+        # the four enumerations: merge, wedge lookup, hash probe, dict intersection
         s1, marks = triangle_neighbor(adj)
         n1 = materialize_triangle_neighbors(adj, marks)
-        s2, n2 = triangle_neighbor_alt(adj)
-        s3 = hash_neighbor_pair_count(g, adj)
-        s4, n4 = hash_neighbor_pair_tri_neighbors(g, adj)
-        n5 = hash_intersection_tri_neighbors(adj)
-        for s in (s1, s2, s3, s4):
+        s2, marks = count_triangles(adj)
+        n2 = materialize_triangle_neighbors(adj, marks)
+        s3, n3 = hash_neighbor_pair_tri_neighbors(g, adj)
+        n4 = hash_intersection_tri_neighbors(adj)
+        for s in (s1, s2, s3):
             assert s.total == ref_stats.total
             assert np.array_equal(s.per_vertex, ref_stats.per_vertex)
         assert n1 == ref_nbh
         assert n2 == ref_nbh
+        assert n3 == ref_nbh
         assert n4 == ref_nbh
-        assert n5 == ref_nbh
 
 
 @criterion(8, "four rounds with exact emission counts and bit budget (c <= 8)")

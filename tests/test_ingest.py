@@ -212,6 +212,16 @@ def test_load_edge_list_matches_reference_at_scale(kind):
     assert_loads_as_reference(scale_text(kind, seed=13))
 
 
+def load_peak(path):
+    """The graph loaded from ``path`` and the peak bytes traced meanwhile."""
+    tracemalloc.start()
+    try:
+        g = load_edge_list(str(path))
+        return g, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_edge_list_peak_memory_is_bounded(tmp_path, bench_gen):
     # the benchmark's dirty G(n, m): string labels, both orientations,
     # duplicates and self-loops. Keeping int64 arrays for every token until
@@ -222,14 +232,30 @@ def test_load_edge_list_peak_memory_is_bounded(tmp_path, bench_gen):
     edges.write(path)
     tokens = 2 * edges.a.shape[0]
     assert tokens >= 200_000
-    tracemalloc.start()
-    try:
-        g = load_edge_list(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, peak = load_peak(path)
     assert g.m == 50_000
     assert peak < 60 * tokens, f"{peak / tokens:.1f} bytes a token"
+    # blanking a comment line copies the text; the first copy must be freed
+    # by then, or the peak holds one more text (about 8 bytes a token here)
+    commented = tmp_path / "er-commented.txt"
+    commented.write_text("# header\n" + path.read_text())
+    g, commented_peak = load_peak(commented)
+    assert g.m == 50_000
+    assert commented_peak < peak + tokens, (
+        f"{commented_peak / tokens:.1f} against {peak / tokens:.1f} bytes a token")
+
+
+def test_non_ascii_text_peak_memory_is_bounded(tmp_path):
+    # one astral character makes the decoded str 4 bytes a character; padding
+    # that str before encoding it copied it whole (about 127 bytes a token)
+    text = scale_text("strings", 13)
+    assert not text.isascii()
+    path = tmp_path / "strings.txt"
+    path.write_text(text, encoding="utf-8")
+    tokens = 2 * text.count("\n")
+    g, peak = load_peak(path)
+    assert g.m > 0
+    assert peak < 110 * tokens, f"{peak / tokens:.1f} bytes a token"
 
 
 def test_arc_keys_are_int64_when_n_squared_passes_int32():

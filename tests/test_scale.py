@@ -11,9 +11,8 @@ from tricent.centrality import (closed_form_tc, triangle_centrality,
 from tricent.generators import clique_ring
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
 from tricent.parallel import parallel_triangle_centrality
-from tricent.triangle import (MergeTally, _stats_and_marks, hash_intersection_tri_neighbors,
-                              materialize_triangle_neighbors, triangle_neighbor,
-                              triangle_neighbor_alt, wedge_counts)
+from tricent.triangle import (MergeTally, count_triangles, hash_intersection_tri_neighbors,
+                              materialize_triangle_neighbors, triangle_neighbor)
 
 TOL = 1e-12
 
@@ -42,16 +41,15 @@ def test_routes_agree_on_holme_kim(bench_gen, seed):
     # the route's closed-form merge count against one run of the merge
     adj = build_abbreviated_adjacency(g, degree_order(g))
     tally = MergeTally()
-    triangle_neighbor(adj, tally)
+    merge_stats, merge_marks = triangle_neighbor(adj, tally)
     assert (counters.merge_comparisons, counters.triangles) == (
         tally.merge_comparisons, tally.triangles)
-    # the pure-Python variants against the lists from the main kernel's marks
-    stats, marks = _stats_and_marks(adj, wedge_counts(adj), per_edge=False)
-    lists = materialize_triangle_neighbors(adj, marks)
-    alt_stats, alt_lists = triangle_neighbor_alt(adj)
-    assert alt_stats.total == stats.total == ref.tri_total
-    assert np.array_equal(alt_stats.per_vertex, stats.per_vertex)
-    assert alt_lists == lists
+    # the production kernel and the dict intersection against the merge's lists
+    lists = materialize_triangle_neighbors(adj, merge_marks)
+    stats, marks = count_triangles(adj)
+    assert stats.total == merge_stats.total == ref.tri_total
+    assert np.array_equal(stats.per_vertex, merge_stats.per_vertex)
+    assert materialize_triangle_neighbors(adj, marks) == lists
     assert hash_intersection_tri_neighbors(adj) == lists
     # triangle total from scipy, sharing no code with the kernels
     a = sp.csr_matrix((np.ones(2 * g.m, dtype=np.int64), g.neighbors, g.offsets),

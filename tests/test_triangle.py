@@ -12,12 +12,11 @@ from tricent.generators import (book_with_satellite, clique, clique_chain, cliqu
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order, row_lists
 from tricent.triangle import (BRUTE_FORCE_LIMIT, MergeTally, _hash_buckets, _hash_counts,
                               _hash_find, _hash_table, _merge_counts,
-                              _prefix_pairs, brute_force_triangles, edge_count_arrays,
-                              hash_intersection_tri_neighbors,
-                              hash_neighbor_pair_count,
+                              _prefix_pairs, brute_force_triangles, count_triangles,
+                              edge_count_arrays, hash_intersection_tri_neighbors,
                               hash_neighbor_pair_tri_neighbors,
                               materialize_triangle_neighbors, merge_comparison_count,
-                              triangle_neighbor, triangle_neighbor_alt, wedge_counts)
+                              triangle_neighbor, wedge_counts)
 
 FIXTURE_NAMES = ("borgatti", "karate", "dolphins", "hijackers")
 
@@ -91,15 +90,15 @@ def test_all_implementations_agree(small_random_suite):
         ref_stats, ref_nbh = brute_force_triangles(g)
         s1, marks = triangle_neighbor(adj)
         n1 = materialize_triangle_neighbors(adj, marks)
-        s2, n2 = triangle_neighbor_alt(adj)
-        s3 = hash_neighbor_pair_count(g, adj)
-        s4, n4 = hash_neighbor_pair_tri_neighbors(g, adj)
-        n5 = hash_intersection_tri_neighbors(adj)
-        for s in (s1, s2, s3, s4):
+        s2, marks = count_triangles(adj)
+        n2 = materialize_triangle_neighbors(adj, marks)
+        s3, n3 = hash_neighbor_pair_tri_neighbors(g, adj)
+        n4 = hash_intersection_tri_neighbors(adj)
+        for s in (s1, s2, s3):
             assert s.total == ref_stats.total
             assert np.array_equal(s.per_vertex, ref_stats.per_vertex)
             assert int(s.per_vertex.sum()) == 3 * s.total
-        assert n1 == n2 == n4 == n5 == ref_nbh
+        assert n1 == n2 == n3 == n4 == ref_nbh
 
 
 def test_detection_count_equals_total(small_random_suite):
@@ -156,7 +155,7 @@ def test_per_edge_counts_are_common_neighbor_sizes(small_random_suite):
         adj = ordered(g)
         stats, _ = triangle_neighbor(adj, per_edge=True)
         seen = set()
-        for i, j, c in zip(*(a.tolist() for a in edge_count_arrays(adj, stats))):
+        for i, j, c in zip(*(a.tolist() for a in edge_count_arrays(adj, stats.per_edge))):
             seen.add((min(i, j), max(i, j)))
             ni = set(g.neighbors_of(i).tolist())
             nj = set(g.neighbors_of(j).tolist())
@@ -166,8 +165,7 @@ def test_per_edge_counts_are_common_neighbor_sizes(small_random_suite):
             if (u, v) not in seen:
                 nu = set(g.neighbors_of(u).tolist())
                 assert not (nu & set(g.neighbors_of(v).tolist()))
-        if stats.per_edge is not None:
-            assert int(stats.per_edge.sum()) == 3 * stats.total
+        assert int(stats.per_edge.sum()) == 3 * stats.total
 
 
 def merge_counts(adj):
@@ -302,7 +300,7 @@ def test_hash_intersection_on_clique_chain():
 
 def test_hash_pair_count_k4():
     g = k_n(4)
-    stats = hash_neighbor_pair_count(g, ordered(g))
+    stats, _ = hash_neighbor_pair_tri_neighbors(g, ordered(g))
     assert stats.total == 4
     assert stats.per_vertex.tolist() == [3, 3, 3, 3]
 
@@ -313,12 +311,6 @@ def test_triangle_count_upper_bound(small_random_suite):
         deg = g.degrees
         for v in range(g.n):
             assert stats.per_vertex[v] <= deg[v] * (deg[v] - 1) // 2
-
-
-def test_alt_variant_karate():
-    g = load_fixture("karate")
-    stats, _ = triangle_neighbor_alt(ordered(g))
-    assert stats.total == 45
 
 
 def test_brute_force_guard_and_small_cases():
