@@ -29,8 +29,7 @@ from .mapreduce import RoundStats, run_mapreduce_tc
 from .parallel import ParallelConfig, WorkCounters, parallel_triangle_centrality
 from .triangle import (MergeTally, TriangleStats, brute_force_triangles,
                        count_triangles, hash_intersection_tri_neighbors,
-                       hash_neighbor_pair_tri_neighbors,
-                       materialize_triangle_neighbors, merge_comparison_count,
-                       triangle_neighbor, wedge_counts)
+                       hash_neighbor_pair_tri_neighbors, marked_pairs,
+                       merge_comparison_count, triangle_neighbor, wedge_counts)
 
 __version__ = "0.1.0"

@@ -53,8 +53,7 @@ def tc_algebraic(A, T):
     y = T @ np.ones(n, dtype=np.int64)
     k = int(y.sum())
     if k == 0:
-        return CentralityVector(scores=np.zeros(n), method="algebraic", tri_total=0,
-                                triangle_free=True)
+        return CentralityVector(scores=np.zeros(n), method="algebraic", tri_total=0)
     # binarize(T) shares T's pattern, with ones for its entries
     T_bin = sp.csr_matrix((np.ones_like(T.data), T.indices, T.indptr), shape=T.shape)
     x = 3 * (A @ y) - 2 * (T_bin @ y) + y

@@ -9,7 +9,6 @@ the final division, computed as (core + 3*non_core) / (3*total).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -23,16 +22,19 @@ class CentralityVector:
     """Per-vertex scores plus provenance.
 
     ``tri_total`` is the normalizing global triangle count for triangle-based
-    methods (None for the classical measures). ``triangle_free`` flags the
-    all-zero result defined for graphs without triangles; ``converged`` is
-    used by the iterative classical measures.
+    methods (None for the classical measures), and ``triangle_free`` derives
+    from it the all-zero result defined for graphs without triangles;
+    ``converged`` is used by the iterative classical measures.
     """
 
     scores: np.ndarray
     method: str
     tri_total: int | None = None
-    triangle_free: bool = False
     converged: bool = True
+
+    @property
+    def triangle_free(self):
+        return self.tri_total == 0
 
 
 def _scores_from_sums(core, non_core, total):
@@ -51,19 +53,15 @@ def _neighbor_sums(g, per_vertex):
 def tc_from_triangles(g, stats, neighborhood=None, adj=None, marks=None, method="main"):
     """Second phase: fold triangle counts into scores.
 
-    Accepts either explicit neighbor lists (one list of triangle neighbors
-    per vertex) or (adj, marks), in which case the core sums accumulate
-    symmetrically over marked prefix entries without materializing lists.
+    Accepts either a neighborhood, the int64 arrays ``(src, dst)`` of
+    :func:`~tricent.triangle.marked_pairs` (one row per ordered pair of
+    triangle neighbors, in any order), or the (adj, marks) that make them.
     """
     tri = stats.per_vertex
     if stats.total == 0:
-        return CentralityVector(scores=np.zeros(g.n), method=method, tri_total=0,
-                                triangle_free=True)
-    # (src, dst): one row per ordered triangle-neighbor pair
+        return CentralityVector(scores=np.zeros(g.n), method=method, tri_total=0)
     if neighborhood is not None:
-        src = np.repeat(np.arange(g.n, dtype=np.int64), [len(row) for row in neighborhood])
-        dst = np.fromiter(chain.from_iterable(neighborhood), dtype=np.int64,
-                          count=src.shape[0])
+        src, dst = neighborhood
     elif adj is not None and marks is not None:
         src, dst = marked_pairs(adj, marks)
     else:
@@ -86,7 +84,7 @@ def triangle_centrality(g):
 
 
 def triangle_centrality_basic(g):
-    """Reference pipeline over hash-based detection and explicit lists."""
+    """Reference pipeline over hash-based detection and its neighborhood pairs."""
     adj = build_abbreviated_adjacency(g, degree_order(g))
     stats, nbh = hash_neighbor_pair_tri_neighbors(g, adj)
     return tc_from_triangles(g, stats, neighborhood=nbh, method="basic")

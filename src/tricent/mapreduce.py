@@ -142,8 +142,7 @@ def mr_round4(records, total, n):
         scores[v] = score
         out.append((v, score))
     stats = RoundStats(4, len(mapped), len(out), 2 * len(out) * RECORD_BITS)
-    cv = CentralityVector(scores=scores, method="mapreduce", tri_total=total,
-                          triangle_free=(total == 0))
+    cv = CentralityVector(scores=scores, method="mapreduce", tri_total=total)
     return cv, stats
 
 

@@ -3,13 +3,14 @@
 Every routine except the cubic brute-force oracle reads the abbreviated
 adjacency's packed prefix entries, one per edge (``adj.lower[e]``,
 ``adj.higher[e]``), and reports one triangle count per entry: each triangle
-counts on its three entries. The per-vertex and global counts, the
-triangle-neighbor marks and the sorted lists are assembled from those counts
-by the shared `_stats_and_marks` and `materialize_triangle_neighbors`. There
-is one public routine per kernel. `count_triangles` is the production
-kernel, which the main and PRAM routes call: the vectorized wedge check
-(`wedge_counts`) looks up the closing edge of every pair of entries of one
-prefix with `searchsorted` among the sorted entry keys. The basic route's
+counts on its three entries. The per-vertex and global counts and the
+triangle-neighbor marks are assembled from those counts by the shared
+`_stats_and_marks`; a neighbourhood is the int64 pairs ``(src, dst)`` of the
+marked entries in both directions (`marked_pairs`). There is one public
+routine per kernel. `count_triangles` is the production kernel, which the
+main and PRAM routes call: the vectorized wedge check (`wedge_counts`) looks
+up the closing edge of every pair of entries of one prefix with
+`searchsorted` among the sorted entry keys. The basic route's
 `hash_neighbor_pair_tri_neighbors` (`_hash_counts`) tests the same pairs
 against a hash table of the edges built in numpy; both run one blocked pair
 loop (`_pair_counts` over `_prefix_pairs`), so their memory stays O(m). The
@@ -115,8 +116,9 @@ def merge_comparison_count(adj, total):
     whole = np.where(v_ends, plen[v], plen[u])
     x = np.where(v_ends, u, v)
     t = np.minimum(lv, lu)
-    part = np.searchsorted(adj.lower * n + adj.higher, x * n + t, side="right") - poff[x]
-    return int(whole.sum()) + int(part.sum()) - total
+    # the sum ignores the needles' order; sorted, the probes walk the keys in order
+    part = np.searchsorted(adj.lower * n + adj.higher, np.sort(x * n + t), side="right")
+    return int(whole.sum()) + int(part.sum()) - int(poff[x].sum()) - total
 
 
 # Entry pairs per block of _prefix_pairs. A block's index arrays are the
@@ -324,18 +326,10 @@ def triangle_neighbor(adj, tally=None, per_edge=True):
 def marked_pairs(adj, marks):
     """Arrays ``(src, dst)`` holding every prefix entry (v, u) that ``marks``
     selects (a bool array or an index over the entries) in both directions:
-    one row per ordered pair of triangle neighbors."""
+    one row per ordered pair of triangle neighbors. The rows are a relation
+    in no promised order."""
     v, u = adj.lower[marks], adj.higher[marks]
     return np.concatenate((v, u)), np.concatenate((u, v))
-
-
-def materialize_triangle_neighbors(adj, marks):
-    """Expand marks into symmetric triangle-neighbor lists, one sorted list
-    per vertex."""
-    src, dst = marked_pairs(adj, marks)
-    offsets = np.zeros(adj.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=adj.n), out=offsets[1:])
-    return row_lists(dst[np.argsort(src * adj.n + dst)], offsets)
 
 
 def hash_neighbor_pair_tri_neighbors(g, adj):
@@ -343,18 +337,19 @@ def hash_neighbor_pair_tri_neighbors(g, adj):
     once in a hash table of the edges, and each triangle counts on its three
     edges (:func:`_hash_counts`).
 
-    The symmetric sorted lists come from the marked entries. ``g`` is not
-    read: every edge of it is a prefix entry of ``adj``.
+    Returns the stats and the neighbourhood pairs of the marked entries
+    (:func:`marked_pairs`). ``g`` is not read: every edge of it is a prefix
+    entry of ``adj``.
     """
     stats, marks = _stats_and_marks(adj, _hash_counts(adj))
-    return stats, materialize_triangle_neighbors(adj, marks)
+    return stats, marked_pairs(adj, marks)
 
 
 def hash_intersection_tri_neighbors(adj):
     """Set-intersection variant over hashed prefixes: every entry (v, u)
     intersects the key views of v's and u's member-to-entry dicts (``&``
     probes the smaller into the larger), and each triangle counts on its
-    three entries. Returns the triangle-neighbor lists only."""
+    three entries. Returns the neighbourhood pairs only (:func:`marked_pairs`)."""
     poff = adj.prefix_offsets.tolist()
     index = [dict(zip(p, range(lo, hi)))
              for p, lo, hi in zip(row_lists(adj.higher, adj.prefix_offsets), poff, poff[1:])]
@@ -367,14 +362,17 @@ def hash_intersection_tri_neighbors(adj):
                 counts[iv[w]] += 1  # {v,w}
                 counts[iu[w]] += 1  # {u,w}
                 counts[e] += 1  # {v,u}
-    return materialize_triangle_neighbors(adj, np.array(counts) > 0)
+    return marked_pairs(adj, np.array(counts) > 0)
 
 
 BRUTE_FORCE_LIMIT = 256  # the all-triple oracle refuses more vertices
 
 
 def brute_force_triangles(g):
-    """Exhaustive all-triple oracle; refuses graphs above the size guard."""
+    """Exhaustive all-triple oracle; refuses graphs above the size guard.
+
+    Returns the stats and the neighbourhood as ``(src, dst)`` int64 arrays,
+    in ascending ``(src, dst)`` order, from the oracle's own sets."""
     if g.n > BRUTE_FORCE_LIMIT:
         raise InputError(f"brute-force oracle limited to {BRUTE_FORCE_LIMIT} vertices, got {g.n}")
     n = g.n
@@ -398,7 +396,9 @@ def brute_force_triangles(g):
                     tri_nbrs[j].update((i, k))
                     tri_nbrs[k].update((i, j))
     stats = TriangleStats(per_vertex=tri, total=total)
-    return stats, [sorted(s) for s in tri_nbrs]
+    src = np.array([v for v, s in enumerate(tri_nbrs) for _ in s], dtype=np.int64)
+    dst = np.array([u for s in tri_nbrs for u in sorted(s)], dtype=np.int64)
+    return stats, (src, dst)
 
 
 def edge_count_arrays(adj, counts):

@@ -73,3 +73,11 @@ def edges_above_exact_limit():
     m = math.isqrt(EXACT_PATH_LIMIT) // 2
     n = EXACT_PATH_LIMIT // m + 1
     return [(v, v + 1) for v in range(m)] + [(v, v) for v in range(m + 1, n)]
+
+
+def pair_list(pairs):
+    """A triangle neighbourhood's ``(src, dst)`` arrays as a sorted list of
+    ``(src, dst)`` tuples, so that two neighbourhoods compare exactly
+    whatever order their rows come in."""
+    src, dst = pairs
+    return sorted(zip(src.tolist(), dst.tolist()))

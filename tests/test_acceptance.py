@@ -7,6 +7,7 @@ import functools
 import math
 
 import numpy as np
+from conftest import pair_list
 
 from tricent.algebraic import (build_triangle_matrix,
                                triangle_centrality_algebraic,
@@ -25,8 +26,8 @@ from tricent.mapreduce import RECORD_BITS, run_mapreduce_tc
 from tricent.parallel import ParallelConfig, parallel_triangle_centrality
 from tricent.triangle import (MergeTally, brute_force_triangles, count_triangles,
                               hash_intersection_tri_neighbors,
-                              hash_neighbor_pair_tri_neighbors,
-                              materialize_triangle_neighbors, triangle_neighbor)
+                              hash_neighbor_pair_tri_neighbors, marked_pairs,
+                              triangle_neighbor)
 
 TOL = 1e-12
 
@@ -181,18 +182,19 @@ def test_c07_triangle_oracle(random_suite_500):
         ref_stats, ref_nbh = brute_force_triangles(g)
         # the four enumerations: merge, wedge lookup, hash probe, dict intersection
         s1, marks = triangle_neighbor(adj)
-        n1 = materialize_triangle_neighbors(adj, marks)
+        n1 = marked_pairs(adj, marks)
         s2, marks = count_triangles(adj)
-        n2 = materialize_triangle_neighbors(adj, marks)
+        n2 = marked_pairs(adj, marks)
         s3, n3 = hash_neighbor_pair_tri_neighbors(g, adj)
         n4 = hash_intersection_tri_neighbors(adj)
         for s in (s1, s2, s3):
             assert s.total == ref_stats.total
             assert np.array_equal(s.per_vertex, ref_stats.per_vertex)
-        assert n1 == ref_nbh
-        assert n2 == ref_nbh
-        assert n3 == ref_nbh
-        assert n4 == ref_nbh
+        want = pair_list(ref_nbh)
+        assert pair_list(n1) == want
+        assert pair_list(n2) == want
+        assert pair_list(n3) == want
+        assert pair_list(n4) == want
 
 
 @criterion(8, "four rounds with exact emission counts and bit budget (c <= 8)")
@@ -221,11 +223,8 @@ def test_c09_algebraic_identities(random_suite_200):
         assert np.array_equal(per_vertex, stats.per_vertex)
         assert total == stats.total
         assert (T != T.T).nnz == 0
-        nbh = materialize_triangle_neighbors(adj, marks)
-        csr = T.tocsr()
-        for v in range(g.n):
-            support = sorted(csr.indices[csr.indptr[v]:csr.indptr[v + 1]].tolist())
-            assert support == nbh[v]
+        coo = T.tocoo()
+        assert pair_list((coo.row, coo.col)) == pair_list(marked_pairs(adj, marks))
         if g.n <= 32:
             A = np.zeros((g.n, g.n), dtype=np.int64)
             for v in range(g.n):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import pair_list
 
 from tricent.algebraic import (adjacency_matrix, build_triangle_matrix,
                                tc_algebraic, triangle_centrality_algebraic,
@@ -9,8 +10,7 @@ from tricent.centrality import triangle_centrality
 from tricent.errors import ConsistencyError
 from tricent.generators import book_with_satellite, load_fixture
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
-from tricent.triangle import (brute_force_triangles,
-                              materialize_triangle_neighbors, triangle_neighbor)
+from tricent.triangle import brute_force_triangles, marked_pairs, triangle_neighbor
 
 
 def k_n(n):
@@ -53,13 +53,10 @@ def test_matrix_is_symmetric(small_random_suite):
 def test_support_equals_triangle_neighborhood():
     for name in ("borgatti", "karate"):
         g = load_fixture(name)
-        T = build_triangle_matrix(g).tocsr()
+        T = build_triangle_matrix(g).tocoo()
         adj = build_abbreviated_adjacency(g, degree_order(g))
         stats, marks = triangle_neighbor(adj)
-        nbh = materialize_triangle_neighbors(adj, marks)
-        for v in range(g.n):
-            support = sorted(T.indices[T.indptr[v]:T.indptr[v + 1]].tolist())
-            assert support == nbh[v]
+        assert pair_list((T.row, T.col)) == pair_list(marked_pairs(adj, marks))
 
 
 def test_identities_against_counts(small_random_suite):

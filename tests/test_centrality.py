@@ -11,7 +11,7 @@ from tricent.generators import (book_with_satellite, bridged_cliques, clique,
                                 clique_star_hub, disjoint_cliques, load_fixture,
                                 lone_triangle, star_triangle_hub, triad_hub)
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
-from tricent.triangle import materialize_triangle_neighbors, triangle_neighbor
+from tricent.triangle import brute_force_triangles, marked_pairs, triangle_neighbor
 
 
 def argsorted_labels(g, cv):
@@ -89,12 +89,24 @@ def test_tc_from_triangles_both_input_styles():
     g = load_fixture("borgatti")
     adj = build_abbreviated_adjacency(g, degree_order(g))
     stats, marks = triangle_neighbor(adj)
-    nbh = materialize_triangle_neighbors(adj, marks)
+    src, dst = marked_pairs(adj, marks)
+    # the pairs are a relation: the fold reads them in any order
+    order = np.random.default_rng(0).permutation(src.shape[0])
     via_marks = tc_from_triangles(g, stats, adj=adj, marks=marks)
-    via_lists = tc_from_triangles(g, stats, neighborhood=nbh)
-    assert np.array_equal(via_marks.scores, via_lists.scores)
+    via_pairs = tc_from_triangles(g, stats, neighborhood=(src[order], dst[order]))
+    assert np.array_equal(via_marks.scores, via_pairs.scores)
     with pytest.raises(InputError):
         tc_from_triangles(g, stats)
+
+
+def test_fold_of_the_oracle_neighborhood_equals_the_main_route(small_random_suite):
+    fixtures = [load_fixture(n) for n in ("borgatti", "karate", "dolphins", "hijackers")]
+    for g in small_random_suite + fixtures:
+        stats, pairs = brute_force_triangles(g)
+        folded = tc_from_triangles(g, stats, neighborhood=pairs)
+        main = triangle_centrality(g)
+        assert folded.tri_total == main.tri_total
+        assert folded.scores.tobytes() == main.scores.tobytes()  # bitwise
 
 
 def test_closed_form_values():

@@ -1,18 +1,23 @@
-"""Closed forms and route agreement at n = 20,000-80,000, a size the n <= 64
-criteria never reach, on the benchmark's own Holme-Kim generator."""
+"""Closed forms, route agreement and the MapReduce round structure at
+n = 20,000-80,000, a size the n <= 64 criteria never reach, on the
+benchmark's own Holme-Kim generator."""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import pair_list
 
 from tricent.algebraic import triangle_centrality_algebraic
 from tricent.centrality import (closed_form_tc, triangle_centrality,
                                 triangle_centrality_basic)
 from tricent.generators import clique_ring
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
+from tricent.mapreduce import RECORD_BITS, run_mapreduce_tc
 from tricent.parallel import parallel_triangle_centrality
 from tricent.triangle import (MergeTally, count_triangles, hash_intersection_tri_neighbors,
-                              materialize_triangle_neighbors, triangle_neighbor)
+                              marked_pairs, triangle_neighbor)
 
 TOL = 1e-12
 
@@ -44,15 +49,30 @@ def test_routes_agree_on_holme_kim(bench_gen, seed):
     merge_stats, merge_marks = triangle_neighbor(adj, tally)
     assert (counters.merge_comparisons, counters.triangles) == (
         tally.merge_comparisons, tally.triangles)
-    # the production kernel and the dict intersection against the merge's lists
-    lists = materialize_triangle_neighbors(adj, merge_marks)
+    # the production kernel and the dict intersection against the merge's pairs
+    pairs = pair_list(marked_pairs(adj, merge_marks))
     stats, marks = count_triangles(adj)
     assert stats.total == merge_stats.total == ref.tri_total
     assert np.array_equal(stats.per_vertex, merge_stats.per_vertex)
-    assert materialize_triangle_neighbors(adj, marks) == lists
-    assert hash_intersection_tri_neighbors(adj) == lists
+    assert pair_list(marked_pairs(adj, marks)) == pairs
+    assert pair_list(hash_intersection_tri_neighbors(adj)) == pairs
     # triangle total from scipy, sharing no code with the kernels
     a = sp.csr_matrix((np.ones(2 * g.m, dtype=np.int64), g.neighbors, g.offsets),
                       shape=(g.n, g.n))
     assert ref.tri_total == int((a @ a).multiply(a).sum()) // 6
     assert ref.tri_total > 0
+
+
+def test_mapreduce_structure_on_holme_kim(bench_gen):
+    edges = bench_gen.holme_kim(20000, 5, 0.8, 1)
+    g = build_graph(zip(edges.a.tolist(), edges.b.tolist()))
+    ref = triangle_centrality(g)
+    cv, rounds = run_mapreduce_tc(g)
+    # criterion 8's counts and bit budget, at scale
+    assert [r.round_index for r in rounds] == [1, 2, 3, 4]
+    plen = build_abbreviated_adjacency(g, degree_order(g)).prefix_len
+    assert rounds[0].reduce_records == g.m + int((plen * (plen - 1) // 2).sum())
+    assert rounds[1].reduce_records == 6 * ref.tri_total
+    assert sum(r.est_bits for r in rounds) <= 8 * g.m * math.sqrt(2 * g.m) * 3 * RECORD_BITS
+    assert cv.tri_total == ref.tri_total
+    assert np.max(np.abs(cv.scores - ref.scores)) <= TOL

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import pair_list
 
 from tricent import triangle
 from tricent.centrality import tc_from_triangles, triangle_centrality
@@ -14,9 +15,8 @@ from tricent.triangle import (BRUTE_FORCE_LIMIT, MergeTally, _hash_buckets, _has
                               _hash_find, _hash_table, _merge_counts,
                               _prefix_pairs, brute_force_triangles, count_triangles,
                               edge_count_arrays, hash_intersection_tri_neighbors,
-                              hash_neighbor_pair_tri_neighbors,
-                              materialize_triangle_neighbors, merge_comparison_count,
-                              triangle_neighbor, wedge_counts)
+                              hash_neighbor_pair_tri_neighbors, marked_pairs,
+                              merge_comparison_count, triangle_neighbor, wedge_counts)
 
 FIXTURE_NAMES = ("borgatti", "karate", "dolphins", "hijackers")
 
@@ -38,8 +38,8 @@ def test_triangle_neighbor_k3():
     stats, marks = triangle_neighbor(ordered(g))
     assert stats.total == 1
     assert stats.per_vertex.tolist() == [1, 1, 1]
-    nbh = materialize_triangle_neighbors(ordered(g), marks)
-    assert nbh == [[1, 2], [0, 2], [0, 1]]
+    nbh = marked_pairs(ordered(g), marks)
+    assert pair_list(nbh) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
 
 def test_triangle_neighbor_path_is_empty():
@@ -62,11 +62,10 @@ def test_book_satellite_neighborhood():
     g = book_with_satellite()
     adj = ordered(g)
     stats, marks = triangle_neighbor(adj)
-    nbh = materialize_triangle_neighbors(adj, marks)
     v = g.id_of("v")
-    got = {g.labels[u] for u in nbh[v]}
-    assert got == {"a", "b", "c"}
-    assert g.id_of("d") not in nbh[v]
+    row = [u for s, u in pair_list(marked_pairs(adj, marks)) if s == v]
+    assert sorted(g.labels[u] for u in row) == ["a", "b", "c"]
+    assert g.id_of("d") not in row
     assert stats.per_vertex[v] == 2
 
 
@@ -74,9 +73,8 @@ def test_marks_match_brute_relation():
     g = load_fixture("borgatti")
     adj = ordered(g)
     _, marks = triangle_neighbor(adj)
-    nbh = materialize_triangle_neighbors(adj, marks)
     _, oracle = brute_force_triangles(g)
-    assert nbh == oracle
+    assert pair_list(marked_pairs(adj, marks)) == pair_list(oracle)
 
 
 def test_all_implementations_agree(small_random_suite):
@@ -89,16 +87,17 @@ def test_all_implementations_agree(small_random_suite):
         adj = ordered(g)
         ref_stats, ref_nbh = brute_force_triangles(g)
         s1, marks = triangle_neighbor(adj)
-        n1 = materialize_triangle_neighbors(adj, marks)
+        n1 = marked_pairs(adj, marks)
         s2, marks = count_triangles(adj)
-        n2 = materialize_triangle_neighbors(adj, marks)
+        n2 = marked_pairs(adj, marks)
         s3, n3 = hash_neighbor_pair_tri_neighbors(g, adj)
         n4 = hash_intersection_tri_neighbors(adj)
         for s in (s1, s2, s3):
             assert s.total == ref_stats.total
             assert np.array_equal(s.per_vertex, ref_stats.per_vertex)
             assert int(s.per_vertex.sum()) == 3 * s.total
-        assert n1 == n2 == n3 == n4 == ref_nbh
+        assert (pair_list(n1) == pair_list(n2) == pair_list(n3) == pair_list(n4)
+                == pair_list(ref_nbh))
 
 
 def test_detection_count_equals_total(small_random_suite):
@@ -286,7 +285,7 @@ def test_hash_pair_neighbors_on_triangle_free_tree():
     tree = build_graph([(1, 2), (1, 3), (2, 4), (2, 5)])
     stats, nbh = hash_neighbor_pair_tri_neighbors(tree, ordered(tree))
     assert stats.total == 0
-    assert all(row == [] for row in nbh)
+    assert pair_list(nbh) == []
 
 
 def test_hash_intersection_on_clique_chain():
@@ -295,7 +294,7 @@ def test_hash_intersection_on_clique_chain():
     g, _ = clique_chain(3, 4)
     nbh = hash_intersection_tri_neighbors(ordered(g))
     _, oracle = brute_force_triangles(g)
-    assert nbh == oracle
+    assert pair_list(nbh) == pair_list(oracle)
 
 
 def test_hash_pair_count_k4():
@@ -316,5 +315,9 @@ def test_triangle_count_upper_bound(small_random_suite):
 def test_brute_force_guard_and_small_cases():
     assert brute_force_triangles(k_n(5))[0].total == 10
     assert brute_force_triangles(path(3))[0].total == 0
+    # the oracle's pairs come in ascending (src, dst) order
+    _, (src, dst) = brute_force_triangles(k_n(3))
+    assert list(zip(src.tolist(), dst.tolist())) == [(0, 1), (0, 2), (1, 0),
+                                                     (1, 2), (2, 0), (2, 1)]
     with pytest.raises(InputError):
         brute_force_triangles(path(BRUTE_FORCE_LIMIT + 1))
