@@ -4,9 +4,12 @@ main      vectorized wedge checks inside sorted higher-ordered adjacency
           prefixes, no hashing, each triangle found exactly once
 basic     hash-set edge lookups over neighbor pairs
 algebraic sparse matrices: (3A - 2*binarize(T) + I) @ (T @ 1) / sum(T)
-parallel  the PRAM route: main's kernel plus work counters, its merge
+parallel  the PRAM route: main's kernel plus a merge tally, its merge
           comparisons exact, computed from the prefix ends (tested equal to
           the merge kernel's count), then the same fold
+
+Each ordered route's scores carry the shape of the degree order; its prefix
+pairs are the pair tests of the detect step.
 """
 
 import math
@@ -20,7 +23,7 @@ from tricent import (load_fixture, parallel_triangle_centrality, run_mapreduce_t
 g = load_fixture("dolphins")
 main = triangle_centrality(g)
 
-parallel, counters = parallel_triangle_centrality(g)
+parallel, tally = parallel_triangle_centrality(g)
 
 others = {
     "basic": triangle_centrality_basic(g).scores,
@@ -36,7 +39,8 @@ for name, scores in others.items():
     print(f"  {name:<12} max|diff| = {diff:.3e}   bitwise equal: {bitwise}")
 
 print("\nwork accounting for the parallel run:")
-print(" ", counters)
+print(" ", tally)
+print(" ", parallel.shape)
 budget = g.m * math.sqrt(2 * g.m)
-print(f"  pair-tests/(m*sqrt(2m)) = {counters.pair_tests / budget:.4f}  "
-      f"merge-comparisons/(m*sqrt(2m)) = {counters.merge_comparisons / budget:.4f}")
+print(f"  pair-tests/(m*sqrt(2m)) = {parallel.shape['prefix_pairs'] / budget:.4f}  "
+      f"merge-comparisons/(m*sqrt(2m)) = {tally.merge_comparisons / budget:.4f}")

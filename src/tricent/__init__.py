@@ -2,15 +2,15 @@
 
 Five routes to the same scores (the combinatorial main path, the hash-based
 basic reference, the sparse algebraic form, the deterministic parallel route
-with its work counters, and a MapReduce-style round simulator), closed-form
+with its merge tally, and a MapReduce-style round simulator), closed-form
 family evaluators, and comparison tooling against five classical centrality
 measures.
 """
 
 from .algebraic import (adjacency_matrix, build_triangle_matrix, tc_algebraic,
                         triangle_centrality_algebraic, triangle_identities)
-from .centrality import (CentralityVector, closed_form_tc, tc_from_triangles,
-                         triangle_centrality, triangle_centrality_basic)
+from .centrality import (CentralityVector, closed_form_tc, order_shape, tc_from_triangles,
+                         triangle_centrality, triangle_centrality_basic, triangle_pipeline)
 from .compare import (MEASURES, Ranking, agreement_dot_matrices,
                       best_jaccard_competitor, betweenness_centrality,
                       closeness_centrality, compute_all, degree_centrality,
@@ -24,9 +24,9 @@ from .generators import (FIXTURES, GEN_FAMILIES, book_with_satellite,
                          lone_triangle, star_triangle_hub, triad_hub)
 from .graph import (Graph, OrderedAdjacency, build_abbreviated_adjacency,
                     build_graph, degree_order, dump_edge_list, load_edge_list,
-                    parse_edge_list)
+                    ordered_adjacency, parse_edge_list)
 from .mapreduce import RoundStats, run_mapreduce_tc
-from .parallel import ParallelConfig, WorkCounters, parallel_triangle_centrality
+from .parallel import ParallelConfig, parallel_triangle_centrality
 from .triangle import (MergeTally, TriangleStats, brute_force_triangles,
                        count_triangles, hash_intersection_tri_neighbors,
                        hash_neighbor_pair_tri_neighbors, marked_pairs,

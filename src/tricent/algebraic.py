@@ -8,16 +8,18 @@ edge by `edge_count_arrays`, rather than by matrix multiplication, which is
 both faster and exact in int64. With y = T @ 1, the score vector is
 (3A - 2*binarize(T) + I) @ y over the grand total, evaluated as the int64
 vector 3*(A @ y) - 2*(binarize(T) @ y) + y, so no sparse sum is built; the
-final division is the only float step.
+final division is the only float step. The route is a run of
+``triangle_pipeline``: building T is its detect step, A and
+``tc_algebraic`` its fold.
 scipy is imported inside the functions that use it, so importing the package
 (and every route but this one) does not pay for loading scipy.
 """
 
 import numpy as np
 
-from .centrality import CentralityVector
+from .centrality import CentralityVector, triangle_pipeline
 from .errors import ConsistencyError, InputError
-from .graph import build_abbreviated_adjacency, degree_order
+from .graph import ordered_adjacency
 from .triangle import edge_count_arrays, wedge_counts
 
 
@@ -35,9 +37,12 @@ def adjacency_matrix(g):
 
 def build_triangle_matrix(g):
     """Symmetric CSR matrix of per-edge triangle counts via enumeration."""
+    return _triangle_matrix(g, ordered_adjacency(g))
+
+
+def _triangle_matrix(g, adj):
     import scipy.sparse as sp
 
-    adj = build_abbreviated_adjacency(g, degree_order(g))
     i, j, c = edge_count_arrays(adj, wedge_counts(adj))
     return sp.csr_matrix((c, (i, j)), shape=(g.n, g.n))
 
@@ -62,8 +67,9 @@ def tc_algebraic(A, T):
 
 
 def triangle_centrality_algebraic(g):
-    """Convenience composition: build A and T, then score."""
-    return tc_algebraic(adjacency_matrix(g), build_triangle_matrix(g))
+    """Detect T, then fold A and T into scores."""
+    return triangle_pipeline(g, lambda g, adj: (_triangle_matrix(g, adj),),
+                             lambda g, T: tc_algebraic(adjacency_matrix(g), T))
 
 
 def triangle_identities(T):

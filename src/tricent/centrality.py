@@ -4,16 +4,23 @@ Score of v = (core/3 + non-core) / total, where core sums triangle counts
 over v and its triangle neighbors and non-core sums them over the remaining
 neighbors. Sums are kept in exact integers; the single floating-point step is
 the final division, computed as (core + 3*non_core) / (3*total).
+
+Every triangle route but the MapReduce simulator is one run of
+:func:`triangle_pipeline`: order the graph once, detect the triangles in the
+ordered adjacency with the route's kernel, fold them into scores. The
+returned vector carries each phase's seconds and the shape of the order
+(:func:`order_shape`).
 """
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InputError
-from .graph import build_abbreviated_adjacency, degree_order
+from .graph import ordered_adjacency
 from .triangle import count_triangles, hash_neighbor_pair_tri_neighbors, marked_pairs
 
 
@@ -24,13 +31,17 @@ class CentralityVector:
     ``tri_total`` is the normalizing global triangle count for triangle-based
     methods (None for the classical measures), and ``triangle_free`` derives
     from it the all-zero result defined for graphs without triangles;
-    ``converged`` is used by the iterative classical measures.
+    ``converged`` is used by the iterative classical measures. ``phases``
+    (seconds by phase name) and ``shape`` (:func:`order_shape`) are set by
+    the routes that order the graph, and are None elsewhere.
     """
 
     scores: np.ndarray
     method: str
     tri_total: int | None = None
     converged: bool = True
+    phases: dict | None = field(default=None, init=False)
+    shape: dict | None = field(default=None, init=False)
 
     @property
     def triangle_free(self):
@@ -74,20 +85,58 @@ def tc_from_triangles(g, stats, neighborhood=None, adj=None, marks=None, method=
     return CentralityVector(scores=scores, method=method, tri_total=int(stats.total))
 
 
+def order_shape(g, adj):
+    """The shape that bounds the detect step's work: the largest degree,
+    the longest prefix of ``adj`` (at most ``sqrt(2m)`` when ``adj`` is
+    degree-ordered), and the ``sum p(p-1)/2`` pairs of prefix entries a
+    kernel tests."""
+    # offset differences, not g.degrees (np.diff): this runs on every route
+    # call, and on small graphs numpy's per-call overhead is most of its cost
+    p, o = adj.prefix_len, g.offsets
+    return {"max_degree": int((o[1:] - o[:-1]).max(initial=0)),
+            "longest_prefix": int(p.max(initial=0)),
+            "sqrt_2m": math.sqrt(2 * g.m),
+            "prefix_pairs": int(p @ (p - 1)) // 2}
+
+
+def triangle_pipeline(g, detect, fold):
+    """Order ``g``, detect its triangles, fold them into scores.
+
+    ``detect(g, adj)`` reads the ordered adjacency and returns a tuple;
+    ``fold(g, *found)`` turns that tuple into a CentralityVector. ``adj`` is
+    dropped before the fold, so it lives on only inside a tuple that holds
+    it. The vector gets the seconds of the ``order``, ``detect`` and
+    ``fold`` phases and the :func:`order_shape` of ``adj``.
+    """
+    t0 = time.perf_counter()
+    adj = ordered_adjacency(g)
+    shape = order_shape(g, adj)
+    t1 = time.perf_counter()
+    found = detect(g, adj)
+    del adj
+    t2 = time.perf_counter()
+    cv = fold(g, *found)
+    t3 = time.perf_counter()
+    cv.phases = {"order": t1 - t0, "detect": t2 - t1, "fold": t3 - t2}
+    cv.shape = shape
+    return cv
+
+
 def triangle_centrality(g):
-    """Production pipeline: degree order, abbreviated adjacency, the counts
-    and marks of the production kernel (``count_triangles``), then the score
-    fold over marks."""
-    adj = build_abbreviated_adjacency(g, degree_order(g))
-    stats, marks = count_triangles(adj)
-    return tc_from_triangles(g, stats, adj=adj, marks=marks, method="main")
+    """Production route: the counts and marks of the production kernel
+    (``count_triangles``), folded over the marks."""
+    return triangle_pipeline(
+        g, lambda g, adj: (*count_triangles(adj), adj),
+        lambda g, stats, marks, adj: tc_from_triangles(g, stats, adj=adj, marks=marks,
+                                                       method="main"))
 
 
 def triangle_centrality_basic(g):
-    """Reference pipeline over hash-based detection and its neighborhood pairs."""
-    adj = build_abbreviated_adjacency(g, degree_order(g))
-    stats, nbh = hash_neighbor_pair_tri_neighbors(g, adj)
-    return tc_from_triangles(g, stats, neighborhood=nbh, method="basic")
+    """Reference route: hash-based detection, folded over its neighborhood
+    pairs."""
+    return triangle_pipeline(
+        g, hash_neighbor_pair_tri_neighbors,
+        lambda g, stats, nbh: tc_from_triangles(g, stats, neighborhood=nbh, method="basic"))
 
 
 CHAIN_ROLES = ("inner-joint", "outer-joint", "inner-member", "outer-member")

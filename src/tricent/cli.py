@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: compute, compare, gen, bench. Scores stream to stdout as
-`label<TAB>score` sorted by rank (ties by label). A run record (route, graph
-shape, triangle total, seconds, the route's work counters, peak RSS) is one
-JSON line: `compute --stats` writes it to stderr, `bench` one per file and
-route to stdout. The route table `_ROUTES` is the one list of `--algo` names.
+`label<TAB>score` sorted by rank (ties by label). A run record is one JSON
+line: route, n, m, triangle total, the route's seconds, its work tally, the
+seconds of each phase, the shape of the degree order, and peak RSS.
+`compute --stats` writes it to stderr, with the load, rank and emit phases
+around the route's order, detect and fold; `bench` writes one per file and
+route to stdout, with the route's phases only. The route table `_ROUTES` is
+the one list of `--algo` names.
 Exit codes: 0 ok, 1 usage, 2 I/O (silent when stdout is a pipe closed early),
 3 internal consistency.
 """
@@ -25,7 +28,7 @@ from .compare import EXACT_PATH_LIMIT, compute_all, rank_vertices, top_k_jaccard
 from .errors import ConsistencyError, InputError
 from .generators import GEN_FAMILIES, generate_fixture
 from .graph import dump_edge_list, load_edge_list
-from .mapreduce import run_mapreduce_tc
+from .mapreduce import RECORD_LIMIT, run_mapreduce_tc
 from .parallel import parallel_triangle_centrality
 
 USAGE_EXIT, IO_EXIT, INTERNAL_EXIT = 1, 2, 3
@@ -45,7 +48,9 @@ def _build_parser():
 
     pc = sub.add_parser("compute", help="compute triangle centrality scores")
     pc.add_argument("path", help="edge-list file, or - for stdin")
-    pc.add_argument("--algo", choices=list(_ROUTES), default="main")
+    pc.add_argument("--algo", choices=list(_ROUTES), default="main",
+                    help="mapreduce refuses graphs whose m + 7 * prefix pairs is over "
+                    f"{RECORD_LIMIT} (exit 1)")
     pc.add_argument("--stats", action="store_true", help="write the run record to stderr")
     pc.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
@@ -72,8 +77,7 @@ def _build_parser():
 _JSON_ROW = '    {{\n      "vertex": {},\n      "score": {},\n      "rank": {}\n    }}'
 
 
-def _emit_scores(g, cv, fmt, out):
-    ranking = rank_vertices(cv)
+def _emit_scores(g, cv, ranking, fmt, out):
     labels = list(map(g.labels.__getitem__, ranking.order.tolist()))
     # scores take few values: repr each distinct one (distinct in its bits,
     # so -0.0 keeps its sign) and gather the strings back
@@ -96,7 +100,7 @@ def _emit_scores(g, cv, fmt, out):
         out.write("".join(map("{}\t{}\n".format, labels, scores)))
 
 
-# --algo name -> route: Graph -> (scores, the route's work counters or None)
+# --algo name -> route: Graph -> (scores, the route's work tally or None)
 _ROUTES = {
     "main": lambda g: (triangle_centrality(g), None),
     "basic": lambda g: (triangle_centrality_basic(g), None),
@@ -112,7 +116,8 @@ def _run(g, algo):
     cv, work = _ROUTES[algo](g)
     seconds = time.perf_counter() - t0
     return cv, {"algo": algo, "n": g.n, "m": g.m, "triangles": cv.tri_total,
-                "seconds": seconds, "work": work}
+                "seconds": seconds, "work": work, "phases": cv.phases or {},
+                "shape": cv.shape}
 
 
 def _write_record(record, out):
@@ -125,10 +130,17 @@ def _write_record(record, out):
 
 
 def _cmd_compute(args):
+    t0 = time.perf_counter()
     g = load_edge_list(args.path)
+    t1 = time.perf_counter()
     cv, record = _run(g, args.algo)
-    _emit_scores(g, cv, args.format, sys.stdout)
+    t2 = time.perf_counter()
+    ranking = rank_vertices(cv)
+    t3 = time.perf_counter()
+    _emit_scores(g, cv, ranking, args.format, sys.stdout)
     if args.stats:
+        record["phases"] = {"load": t1 - t0, **record["phases"], "rank": t3 - t2,
+                            "emit": time.perf_counter() - t3}
         _write_record(record, sys.stderr)
     return 0
 

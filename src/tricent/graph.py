@@ -358,3 +358,9 @@ def build_abbreviated_adjacency(g, rank):
     src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
     up = rank[g.neighbors] > rank[src]
     return OrderedAdjacency(g, src[up], g.neighbors[up], rank)
+
+
+def ordered_adjacency(g):
+    """The order step of every triangle route: ``g`` oriented up its
+    degree order."""
+    return build_abbreviated_adjacency(g, degree_order(g))

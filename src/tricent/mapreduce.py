@@ -12,6 +12,12 @@ filter, round 3's edge re-injection), and the global-count side channel.
 Identity map pass-throughs move nothing and cost nothing. Every stream has one
 record shape, so its bits are its record count times that shape's width.
 
+Records are Python tuples, about 135 (Holme-Kim) to 164 (clique ring of K_24)
+bytes of peak RSS per unit of m + 7 * sum p(p-1)/2, over the prefix lengths p
+of the degree order: m edges plus the prefix pairs bound round 1's reduce
+records, and 6 * triangles <= 6 * pairs bounds round 2's. A graph whose bound
+passes RECORD_LIMIT is refused before any record is built.
+
 Record shapes (vertex ids are internal, pair keys sorted ascending):
   round 1 map:     (v, u)
   round 1 reduce:  ((a, b), None)  edge marker  |  ((a, b), v)  witness
@@ -26,10 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import CentralityVector
+from .centrality import CentralityVector, order_shape
 from .errors import ConsistencyError, InputError
+from .graph import ordered_adjacency
 
 RECORD_BITS = 64  # fixed width per key/value field
+# m + 7 * prefix pairs: about 0.5 GB of peak RSS at the limit on a clique ring
+# of K_24 (measured on 2-core x86-64, Python 3.11); Holme-Kim n = 20,000,
+# m = 99,963 is 1,545,204
+RECORD_LIMIT = 3_000_000
 
 
 @dataclass
@@ -147,10 +158,18 @@ def mr_round4(records, total, n):
 
 
 def run_mapreduce_tc(g):
-    """Chain the four rounds; always exactly four RoundStats."""
+    """Chain the four rounds; always exactly four RoundStats. The scores
+    carry the :func:`~tricent.centrality.order_shape` of ``g``, which sizes
+    the RECORD_LIMIT check."""
+    shape = order_shape(g, ordered_adjacency(g))
+    records = g.m + 7 * shape["prefix_pairs"]
+    if records > RECORD_LIMIT:
+        raise InputError(f"mapreduce limited to m + 7 * prefix pairs <= {RECORD_LIMIT} "
+                         f"records; this graph needs {records}")
     edge_records = annotate_edges(g)
     r1, s1 = mr_round1(edge_records)
     r2, s2 = mr_round2(r1)
     r3, total, s3 = mr_round3(r2, edge_records)
     cv, s4 = mr_round4(r3, total, g.n)
+    cv.shape = shape
     return cv, [s1, s2, s3, s4]

@@ -3,14 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tricent.centrality import (closed_form_tc, tc_from_triangles,
-                                triangle_centrality, triangle_centrality_basic)
+from tricent.algebraic import triangle_centrality_algebraic
+from tricent.centrality import (CentralityVector, closed_form_tc, order_shape,
+                                tc_from_triangles, triangle_centrality,
+                                triangle_centrality_basic, triangle_pipeline)
 from tricent.errors import InputError
 from tricent.generators import (book_with_satellite, bridged_cliques, clique,
                                 clique_bridge_hub, clique_chain, clique_ring,
                                 clique_star_hub, disjoint_cliques, load_fixture,
                                 lone_triangle, star_triangle_hub, triad_hub)
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
+from tricent.parallel import parallel_triangle_centrality
 from tricent.triangle import brute_force_triangles, marked_pairs, triangle_neighbor
 
 
@@ -107,6 +110,35 @@ def test_fold_of_the_oracle_neighborhood_equals_the_main_route(small_random_suit
         main = triangle_centrality(g)
         assert folded.tri_total == main.tri_total
         assert folded.scores.tobytes() == main.scores.tobytes()  # bitwise
+
+
+@pytest.mark.parametrize("route", [triangle_centrality, triangle_centrality_basic,
+                                   triangle_centrality_algebraic,
+                                   lambda g: parallel_triangle_centrality(g)[0]])
+def test_every_ordered_route_reports_its_phases_and_shape(route):
+    for name in ("borgatti", "dolphins"):
+        g = load_fixture(name)
+        cv = route(g)
+        assert list(cv.phases) == ["order", "detect", "fold"]
+        assert all(s >= 0.0 for s in cv.phases.values())
+        assert cv.shape == order_shape(g, build_abbreviated_adjacency(g, degree_order(g)))
+
+
+def test_pipeline_passes_detect_results_to_the_fold():
+    g = load_fixture("karate")
+    seen = {}
+
+    def detect(g, adj):
+        seen["m"] = adj.m
+        return "found", 45
+
+    def fold(g, *found):
+        seen["found"] = found
+        return CentralityVector(scores=np.zeros(g.n), method="x", tri_total=45)
+
+    cv = triangle_pipeline(g, detect, fold)
+    assert seen == {"m": 78, "found": ("found", 45)}
+    assert cv.method == "x" and cv.shape["prefix_pairs"] == 69
 
 
 def test_closed_form_values():

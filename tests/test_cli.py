@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ from test_mapreduce import GOLDEN_ROUNDS
 from tricent.cli import _ROUTES, main
 from tricent.generators import GEN_FAMILIES, load_fixture
 from tricent.graph import build_abbreviated_adjacency, degree_order, dump_edge_list
+from tricent.mapreduce import RECORD_LIMIT
 from tricent.triangle import MergeTally, triangle_neighbor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -42,10 +44,8 @@ def stats_record(capsys, path, algo):
 
 def untimed(record):
     """A run record without its graph path, its timings and its peak RSS."""
-    record = {k: v for k, v in record.items() if k not in ("graph", "seconds", "peak_rss_mb")}
-    if isinstance(record["work"], dict):
-        record["work"] = {k: v for k, v in record["work"].items() if k != "phase_seconds"}
-    return record
+    return {k: v for k, v in record.items()
+            if k not in ("graph", "seconds", "phases", "peak_rss_mb")}
 
 
 def test_compute_karate(capsys, karate_file):
@@ -162,38 +162,60 @@ def test_compare_refuses_graphs_above_the_exact_limit(capsys, tmp_path,
 
 
 def test_stats_flag(capsys, karate_file):
-    code, plain, err = run(capsys, "compute", karate_file, "--algo", "parallel")
-    assert code == 0 and err == ""
-    code, out, err = run(capsys, "compute", karate_file, "--algo", "parallel", "--stats")
-    assert code == 0 and out == plain
-    assert json.loads(err)["work"]["pair_tests"] > 0
-    assert stats_record(capsys, karate_file, "main")["triangles"] == 45
+    for algo in _ROUTES:
+        for fmt in ("tsv", "json"):
+            argv = ("compute", karate_file, "--algo", algo, "--format", fmt)
+            code, plain, err = run(capsys, *argv)
+            assert code == 0 and err == "", argv
+            code, out, err = run(capsys, *argv, "--stats")
+            assert code == 0 and out == plain, argv
+            assert json.loads(err)["triangles"] == 45, argv
 
 
 @pytest.mark.parametrize("algo", list(_ROUTES))
 def test_stats_record_on_karate(capsys, karate_file, algo):
     record = stats_record(capsys, karate_file, algo)
-    assert list(record) == ["algo", "n", "m", "triangles", "seconds", "work", "peak_rss_mb"]
+    assert list(record) == ["algo", "n", "m", "triangles", "seconds", "work", "phases",
+                            "shape", "peak_rss_mb"]
     assert (record["algo"], record["n"], record["m"], record["triangles"]) == (algo, 34, 78, 45)
     assert record["seconds"] >= 0.0
     assert record["peak_rss_mb"] > 0.0
+    phases = record["phases"]
+    if algo == "mapreduce":
+        assert list(phases) == ["load", "rank", "emit"]
+    else:
+        assert list(phases) == ["load", "order", "detect", "fold", "rank", "emit"]
+        # the route's phases are parts of its seconds
+        assert phases["order"] + phases["detect"] + phases["fold"] <= record["seconds"]
+    assert all(s >= 0.0 for s in phases.values())
+    g = load_fixture("karate")
+    adj = build_abbreviated_adjacency(g, degree_order(g))
+    p = adj.prefix_len.tolist()
+    assert record["shape"] == {"max_degree": 17, "longest_prefix": max(p),
+                               "sqrt_2m": math.sqrt(2 * 78),
+                               "prefix_pairs": sum(x * (x - 1) // 2 for x in p)}
+    assert record["shape"]["longest_prefix"] <= record["shape"]["sqrt_2m"]
     work = record["work"]
     if algo == "parallel":
-        g = load_fixture("karate")
-        adj = build_abbreviated_adjacency(g, degree_order(g))
-        p = adj.prefix_len.tolist()
-        assert work["pair_tests"] == sum(x * (x - 1) // 2 for x in p)
-        assert work["max_prefix"] == max(p)
         tally = MergeTally()
         triangle_neighbor(adj, tally)
-        assert work["triangles"] == tally.triangles == 45
-        assert work["merge_comparisons"] == tally.merge_comparisons
-        assert list(work["phase_seconds"]) == ["setup", "detect", "fold"]
+        assert work == {"merge_comparisons": tally.merge_comparisons, "triangles": 45}
     elif algo == "mapreduce":
         assert [(r["map_records"], r["reduce_records"], r["est_bits"])
                 for r in work] == GOLDEN_ROUNDS["karate"]
     else:
         assert work is None
+
+
+def test_mapreduce_record_limit(capsys, monkeypatch, karate_file):
+    code, out, _ = run(capsys, "compute", "--help")
+    assert f"over {RECORD_LIMIT} (exit 1)" in " ".join(out.split())
+    # karate needs m + 7 * 69 prefix pairs = 561 records
+    monkeypatch.setattr("tricent.mapreduce.RECORD_LIMIT", 560)
+    code, out, err = run(capsys, "compute", karate_file, "--algo", "mapreduce")
+    assert code == 1 and out == ""
+    assert err == ("error: mapreduce limited to m + 7 * prefix pairs <= 560 records; "
+                   "this graph needs 561\n")
 
 
 def test_readme_synopsis_lists_every_route():

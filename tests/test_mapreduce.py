@@ -44,6 +44,23 @@ def test_round1_emission_formula(small_random_suite):
         assert stats.reduce_records == expect
 
 
+def test_record_limit_refuses_before_any_record(monkeypatch):
+    g = load_fixture("karate")
+    # m + 7 * 69 prefix pairs = 561 bounds rounds 1 and 2: 147 + 270 records
+    monkeypatch.setattr("tricent.mapreduce.RECORD_LIMIT", 561)
+    cv, rounds = run_mapreduce_tc(g)
+    assert rounds[0].reduce_records + rounds[1].reduce_records <= 561
+    assert cv.shape["prefix_pairs"] == 69
+
+    def refuse(g):
+        raise AssertionError("records were built")
+
+    monkeypatch.setattr("tricent.mapreduce.RECORD_LIMIT", 560)
+    monkeypatch.setattr("tricent.mapreduce.annotate_edges", refuse)
+    with pytest.raises(InputError, match="<= 560 records; this graph needs 561"):
+        run_mapreduce_tc(g)
+
+
 def test_round1_rejects_inconsistent_degrees():
     records = [((0, 1), (1, 2)), ((1, 2), (0, 3))]
     with pytest.raises(InputError):

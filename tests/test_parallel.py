@@ -51,24 +51,23 @@ def test_pair_tests_count_prefix_pairs(small_random_suite):
         lengths = build_abbreviated_adjacency(g, degree_order(g)).prefix_len.tolist()
         expected = sum(p * (p - 1) // 2 for p in lengths)
         for workers in (1, 3):
-            _, counters = parallel_triangle_centrality(g, ParallelConfig(workers=workers))
-            assert counters.pair_tests == expected
+            cv, _ = parallel_triangle_centrality(g, ParallelConfig(workers=workers))
+            assert cv.shape["prefix_pairs"] == expected
 
 
 def test_empty_graph_counters_zero():
     g = build_graph([])
-    cv, counters = parallel_triangle_centrality(g, ParallelConfig(workers=2))
+    cv, tally = parallel_triangle_centrality(g, ParallelConfig(workers=2))
     assert cv.triangle_free
-    assert counters.pair_tests == 0
-    assert counters.triangles == 0
-    assert counters.merge_comparisons == 0
-    assert counters.max_prefix == 0
+    assert tally == MergeTally(merge_comparisons=0, triangles=0)
+    assert cv.shape == {"max_degree": 0, "longest_prefix": 0, "sqrt_2m": 0.0,
+                        "prefix_pairs": 0}
 
 
 def test_max_prefix_is_the_longest_prefix():
     g, _ = clique(12)  # the vertex ranked lowest sees the other 11 above it
-    _, counters = parallel_triangle_centrality(g)
-    assert counters.max_prefix == 11
+    cv, _ = parallel_triangle_centrality(g)
+    assert cv.shape["longest_prefix"] == 11
 
 
 def test_huge_worker_count_starts_no_threads(monkeypatch):

@@ -1,8 +1,9 @@
-"""Closed forms, route agreement and the MapReduce round structure at
-n = 20,000-80,000, a size the n <= 64 criteria never reach, on the
-benchmark's own Holme-Kim generator."""
+"""Closed forms, route agreement, the MapReduce round structure and the
+routes' space per edge at n = 20,000-80,000, a size the n <= 64 criteria
+never reach, on the benchmark's own Holme-Kim generator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,13 @@ from tricent.triangle import (MergeTally, count_triangles, hash_intersection_tri
 TOL = 1e-12
 
 
+@pytest.fixture(scope="module")
+def holme_kim_20k(bench_gen):
+    """``holme_kim(20000, 5, 0.8, 1)``, m = 99,963, built once for the module."""
+    edges = bench_gen.holme_kim(20000, 5, 0.8, 1)
+    return build_graph(zip(edges.a.tolist(), edges.b.tolist()))
+
+
 def test_large_clique_ring_meets_closed_form():
     p, k = 20000, 5
     g, roles = clique_ring(p, k)
@@ -34,9 +42,12 @@ def test_large_clique_ring_meets_closed_form():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_routes_agree_on_holme_kim(bench_gen, seed):
-    edges = bench_gen.holme_kim(20000, 5, 0.8, seed)
-    g = build_graph(zip(edges.a.tolist(), edges.b.tolist()))
+def test_routes_agree_on_holme_kim(bench_gen, holme_kim_20k, seed):
+    if seed == 1:
+        g = holme_kim_20k
+    else:
+        edges = bench_gen.holme_kim(20000, 5, 0.8, seed)
+        g = build_graph(zip(edges.a.tolist(), edges.b.tolist()))
     ref = triangle_centrality(g)
     for alt in (triangle_centrality_basic(g), triangle_centrality_algebraic(g)):
         assert alt.tri_total == ref.tri_total
@@ -63,9 +74,8 @@ def test_routes_agree_on_holme_kim(bench_gen, seed):
     assert ref.tri_total > 0
 
 
-def test_mapreduce_structure_on_holme_kim(bench_gen):
-    edges = bench_gen.holme_kim(20000, 5, 0.8, 1)
-    g = build_graph(zip(edges.a.tolist(), edges.b.tolist()))
+def test_mapreduce_structure_on_holme_kim(holme_kim_20k):
+    g = holme_kim_20k
     ref = triangle_centrality(g)
     cv, rounds = run_mapreduce_tc(g)
     # criterion 8's counts and bit budget, at scale
@@ -76,3 +86,27 @@ def test_mapreduce_structure_on_holme_kim(bench_gen):
     assert sum(r.est_bits for r in rounds) <= 8 * g.m * math.sqrt(2 * g.m) * 3 * RECORD_BITS
     assert cv.tri_total == ref.tri_total
     assert np.max(np.abs(cv.scores - ref.scores)) <= TOL
+
+
+# traced peak bytes per edge of one call, measured on 2-core x86-64 with
+# Python 3.11 and numpy 2.4 (the graph's own CSR is 17.6): about 15% headroom
+SPACE_PER_EDGE = {
+    triangle_centrality: 100,  # measured 87.1
+    triangle_centrality_basic: 83,  # measured 72.0
+    parallel_triangle_centrality: 131,  # measured 113.8
+    triangle_centrality_algebraic: 120,  # measured 104.2
+}
+
+
+@pytest.mark.parametrize("route", list(SPACE_PER_EDGE), ids=lambda f: f.__name__)
+def test_routes_use_linear_space(holme_kim_20k, route):
+    # the paper's O(m + n) space: a fixed number of bytes per edge
+    g = holme_kim_20k
+    route(build_graph([(1, 2), (2, 3), (1, 3)]))  # lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        route(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.m <= SPACE_PER_EDGE[route]
