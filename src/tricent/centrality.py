@@ -2,8 +2,11 @@
 
 Score of v = (core/3 + non-core) / total, where core sums triangle counts
 over v and its triangle neighbors and non-core sums them over the remaining
-neighbors. Sums are kept in exact integers; the single floating-point step is
-the final division, computed as (core + 3*non_core) / (3*total).
+neighbors. In the paper's vector form the scores are
+C = (3A - 2Ť + I)·tri / (3·tri(G)), for A the adjacency matrix, Ť the 0/1
+triangle-neighbor matrix and tri the per-vertex counts. The vector
+3·(A·tri) + tri - 2·(Ť·tri) is kept in exact integers; the single
+floating-point step is the final division by 3·tri(G).
 
 Every triangle route but the MapReduce simulator is one run of
 :func:`triangle_pipeline`: order the graph once, detect the triangles in the
@@ -48,11 +51,6 @@ class CentralityVector:
         return self.tri_total == 0
 
 
-def _scores_from_sums(core, non_core, total):
-    # one division at the end keeps everything before it exact
-    return (core + 3 * non_core).astype(np.float64) / float(3 * total)
-
-
 def _neighbor_sums(g, per_vertex):
     # a row's sum is the difference of the running sums at its two offsets,
     # which is 0 for a vertex without neighbors
@@ -62,27 +60,29 @@ def _neighbor_sums(g, per_vertex):
 
 
 def tc_from_triangles(g, stats, neighborhood=None, adj=None, marks=None, method="main"):
-    """Second phase: fold triangle counts into scores.
+    """Second phase: fold triangle counts into scores,
+    C = (3A - 2Ť + I)·tri / (3·tri(G)).
 
-    Accepts either a neighborhood, the int64 arrays ``(src, dst)`` of
-    :func:`~tricent.triangle.marked_pairs` (one row per ordered pair of
-    triangle neighbors, in any order), or the (adj, marks) that make them.
+    ``neighborhood`` is the int64 arrays ``(src, dst)`` of
+    :func:`~tricent.triangle.marked_pairs`, one row per ordered pair of
+    triangle neighbors (the nonzeros of Ť), in any order. The int64 vector
+    x = 3·(A·tri) + tri - 2·(Ť·tri) is exact; it is divided once, by
+    3·tri(G). The (adj, marks) that make the pairs are accepted in place of
+    them for outside callers (today the traced path of
+    ``perfbench/child.py``) until ROADMAP item 2 retires that path.
     """
     tri = stats.per_vertex
     if stats.total == 0:
         return CentralityVector(scores=np.zeros(g.n), method=method, tri_total=0)
-    if neighborhood is not None:
-        src, dst = neighborhood
-    elif adj is not None and marks is not None:
-        src, dst = marked_pairs(adj, marks)
-    else:
-        raise InputError("need either a neighborhood or (adj, marks)")
-    core = tri.copy()
-    np.add.at(core, src, tri[dst])
-    s = _neighbor_sums(g, tri)
-    non_core = s - core + tri  # = s - (core - tri); core already includes tri[v]
-    scores = _scores_from_sums(core, non_core, stats.total)
-    return CentralityVector(scores=scores, method=method, tri_total=int(stats.total))
+    if neighborhood is None:
+        if adj is None or marks is None:
+            raise InputError("need either a neighborhood or (adj, marks)")
+        neighborhood = marked_pairs(adj, marks)
+    src, dst = neighborhood
+    x = 3 * _neighbor_sums(g, tri) + tri
+    np.add.at(x, src, -2 * tri[dst])
+    return CentralityVector(scores=x.astype(np.float64) / float(3 * stats.total),
+                            method=method, tri_total=int(stats.total))
 
 
 def order_shape(g, adj):
@@ -90,10 +90,8 @@ def order_shape(g, adj):
     the longest prefix of ``adj`` (at most ``sqrt(2m)`` when ``adj`` is
     degree-ordered), and the ``sum p(p-1)/2`` pairs of prefix entries a
     kernel tests."""
-    # offset differences, not g.degrees (np.diff): this runs on every route
-    # call, and on small graphs numpy's per-call overhead is most of its cost
-    p, o = adj.prefix_len, g.offsets
-    return {"max_degree": int((o[1:] - o[:-1]).max(initial=0)),
+    p = adj.prefix_len
+    return {"max_degree": int(g.degrees.max(initial=0)),
             "longest_prefix": int(p.max(initial=0)),
             "sqrt_2m": math.sqrt(2 * g.m),
             "prefix_pairs": int(p @ (p - 1)) // 2}
@@ -103,10 +101,11 @@ def triangle_pipeline(g, detect, fold):
     """Order ``g``, detect its triangles, fold them into scores.
 
     ``detect(g, adj)`` reads the ordered adjacency and returns a tuple;
-    ``fold(g, *found)`` turns that tuple into a CentralityVector. ``adj`` is
-    dropped before the fold, so it lives on only inside a tuple that holds
-    it. The vector gets the seconds of the ``order``, ``detect`` and
-    ``fold`` phases and the :func:`order_shape` of ``adj``.
+    ``fold(g, *found)`` turns that tuple into a CentralityVector. The tuple
+    holds what the fold reads (pair arrays, a matrix), never ``adj``, so the
+    ordered adjacency is freed before every fold. The vector gets the
+    seconds of the ``order``, ``detect`` and ``fold`` phases and the
+    :func:`order_shape` of ``adj``.
     """
     t0 = time.perf_counter()
     adj = ordered_adjacency(g)
@@ -123,12 +122,14 @@ def triangle_pipeline(g, detect, fold):
 
 
 def triangle_centrality(g):
-    """Production route: the counts and marks of the production kernel
-    (``count_triangles``), folded over the marks."""
+    """Production route: the counts of the production kernel
+    (``count_triangles``), folded over the pairs of its marks."""
+    def detect(g, adj):
+        stats, marks = count_triangles(adj)
+        return stats, marked_pairs(adj, marks)
+
     return triangle_pipeline(
-        g, lambda g, adj: (*count_triangles(adj), adj),
-        lambda g, stats, marks, adj: tc_from_triangles(g, stats, adj=adj, marks=marks,
-                                                       method="main"))
+        g, detect, lambda g, stats, nbh: tc_from_triangles(g, stats, neighborhood=nbh))
 
 
 def triangle_centrality_basic(g):

@@ -29,19 +29,16 @@ from .errors import ConsistencyError, InputError
 class Graph:
     """Immutable compressed-adjacency graph. Rows are sorted by internal id."""
 
-    __slots__ = ("n", "m", "offsets", "neighbors", "labels", "_index")
+    __slots__ = ("n", "m", "offsets", "neighbors", "degrees", "labels", "_index")
 
     def __init__(self, n, m, offsets, neighbors, labels):
         self.n = n
         self.m = m
         self.offsets = offsets
         self.neighbors = neighbors
+        self.degrees = np.diff(offsets)
         self.labels = labels
         self._index = None  # label -> id, built on the first id_of call
-
-    @property
-    def degrees(self):
-        return np.diff(self.offsets)
 
     def neighbors_of(self, v):
         return self.neighbors[self.offsets[v]:self.offsets[v + 1]]

@@ -18,7 +18,7 @@ reports.
 from dataclasses import dataclass
 
 from .centrality import tc_from_triangles, triangle_pipeline
-from .triangle import MergeTally, count_triangles, merge_comparison_count
+from .triangle import MergeTally, count_triangles, marked_pairs, merge_comparison_count
 
 
 @dataclass
@@ -37,10 +37,8 @@ def parallel_triangle_centrality(g, cfg=None):
         stats, marks = count_triangles(adj)
         tally.triangles = stats.total
         tally.merge_comparisons = merge_comparison_count(adj, stats.total)
-        return stats, marks, adj
+        return stats, marked_pairs(adj, marks)
 
-    cv = triangle_pipeline(
-        g, detect,
-        lambda g, stats, marks, adj: tc_from_triangles(g, stats, adj=adj, marks=marks,
-                                                       method="parallel"))
+    cv = triangle_pipeline(g, detect, lambda g, stats, nbh: tc_from_triangles(
+        g, stats, neighborhood=nbh, method="parallel"))
     return cv, tally

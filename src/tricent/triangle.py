@@ -47,7 +47,9 @@ class TriangleStats:
 
 @dataclass
 class MergeTally:
-    """Instrumentation filled by triangle_neighbor when passed in."""
+    """Merge-kernel work: filled by :func:`triangle_neighbor` when passed
+    in, and by the PRAM route (``parallel_triangle_centrality``) from
+    :func:`merge_comparison_count` without running the merge."""
 
     merge_comparisons: int = 0
     triangles: int = 0

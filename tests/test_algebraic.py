@@ -76,9 +76,10 @@ def test_identities_closed_cases():
 
 
 def test_identities_reject_corrupt_matrix():
-    bad = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=np.int64))
-    with pytest.raises(ConsistencyError):
-        triangle_identities(bad)
+    for rows, check in (([[0, 1], [1, 0]], "row sums"), ([[0, 2], [2, 0]], "grand sum")):
+        bad = sp.csr_matrix(np.array(rows, dtype=np.int64))
+        with pytest.raises(ConsistencyError, match=check):
+            triangle_identities(bad)
 
 
 def test_k3_by_hand():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tricent import algebraic, centrality, parallel
 from tricent.algebraic import triangle_centrality_algebraic
 from tricent.centrality import (CentralityVector, closed_form_tc, order_shape,
                                 tc_from_triangles, triangle_centrality,
@@ -12,7 +13,8 @@ from tricent.generators import (book_with_satellite, bridged_cliques, clique,
                                 clique_bridge_hub, clique_chain, clique_ring,
                                 clique_star_hub, disjoint_cliques, load_fixture,
                                 lone_triangle, star_triangle_hub, triad_hub)
-from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order
+from tricent.graph import (OrderedAdjacency, build_abbreviated_adjacency, build_graph,
+                           degree_order)
 from tricent.parallel import parallel_triangle_centrality
 from tricent.triangle import brute_force_triangles, marked_pairs, triangle_neighbor
 
@@ -112,9 +114,11 @@ def test_fold_of_the_oracle_neighborhood_equals_the_main_route(small_random_suit
         assert folded.scores.tobytes() == main.scores.tobytes()  # bitwise
 
 
-@pytest.mark.parametrize("route", [triangle_centrality, triangle_centrality_basic,
-                                   triangle_centrality_algebraic,
-                                   lambda g: parallel_triangle_centrality(g)[0]])
+ORDERED_ROUTES = [triangle_centrality, triangle_centrality_basic, triangle_centrality_algebraic,
+                  lambda g: parallel_triangle_centrality(g)[0]]
+
+
+@pytest.mark.parametrize("route", ORDERED_ROUTES)
 def test_every_ordered_route_reports_its_phases_and_shape(route):
     for name in ("borgatti", "dolphins"):
         g = load_fixture(name)
@@ -122,6 +126,26 @@ def test_every_ordered_route_reports_its_phases_and_shape(route):
         assert list(cv.phases) == ["order", "detect", "fold"]
         assert all(s >= 0.0 for s in cv.phases.values())
         assert cv.shape == order_shape(g, build_abbreviated_adjacency(g, degree_order(g)))
+
+
+@pytest.mark.parametrize("route", ORDERED_ROUTES)
+def test_no_fold_receives_the_ordered_adjacency(monkeypatch, route):
+    found = []
+
+    def watched(g, detect, fold):
+        def spy(g, *result):
+            found.append(result)
+            return fold(g, *result)
+
+        return triangle_pipeline(g, detect, spy)
+
+    for module in (centrality, parallel, algebraic):
+        monkeypatch.setattr(module, "triangle_pipeline", watched)
+    route(load_fixture("karate"))
+    (result,) = found
+    # one level down too: a neighbourhood is a (src, dst) tuple
+    items = [x for item in result for x in (item if isinstance(item, tuple) else (item,))]
+    assert not any(isinstance(x, OrderedAdjacency) for x in items)
 
 
 def test_pipeline_passes_detect_results_to_the_fold():
@@ -158,6 +182,8 @@ def test_closed_form_rejects_bad_params():
         closed_form_tc("clique-chain", k=4, p=2, role="outer-joint")
     with pytest.raises(InputError):
         closed_form_tc("clique-chain", k=4, p=3, role="inner-joint")
+    with pytest.raises(InputError):
+        closed_form_tc("clique-chain", k=4, p=4, role="x")
     with pytest.raises(InputError):
         closed_form_tc("clique-ring", k=4, p=4, role="noone")
     with pytest.raises(InputError):

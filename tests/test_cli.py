@@ -12,6 +12,7 @@ import pytest
 import tricent
 from test_mapreduce import GOLDEN_ROUNDS
 from tricent.cli import _ROUTES, main
+from tricent.errors import ConsistencyError
 from tricent.generators import GEN_FAMILIES, load_fixture
 from tricent.graph import build_abbreviated_adjacency, degree_order, dump_edge_list
 from tricent.mapreduce import RECORD_LIMIT
@@ -77,9 +78,10 @@ def test_gen_pipe_round_trip(capsys, tmp_path):
 def test_empty_input_is_ok(capsys, tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
-    code, out, _ = run(capsys, "compute", str(path))
-    assert code == 0
-    assert out == ""
+    for command in ("compute", "compare"):
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 0
+        assert out == ""
 
 
 def test_all_algorithms_agree(capsys, karate_file):
@@ -282,6 +284,17 @@ def test_gen_refuses_oversized_families_before_building(capsys, monkeypatch, arg
 def test_removed_options_exit_one(capsys, karate_file, argv):
     code, out, _ = run(capsys, *(a.format(f=karate_file) for a in argv))
     assert code == 1 and out == ""
+
+
+def test_consistency_error_exits_three(capsys, monkeypatch, karate_file):
+    def corrupt(g):
+        raise ConsistencyError("counts disagree")
+
+    monkeypatch.setitem(_ROUTES, "main", corrupt)
+    code, out, err = run(capsys, "compute", karate_file)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: counts disagree\n"
 
 
 def test_missing_file_exit_two(capsys):

@@ -147,6 +147,11 @@ def test_eigenvector_cases():
     assert rank_of(g, eigenvector_centrality(g), "a") == 25
     g = clique_star_hub()
     assert rank_of(g, eigenvector_centrality(g), "a") == 1
+    assert eigenvector_centrality(build_graph([])).scores.shape == (0,)
+    # edgeless: the first step has norm zero, and the shifted retry lands
+    ev = eigenvector_centrality(build_graph([(1, 1), (2, 2)]))
+    assert ev.converged
+    assert np.allclose(ev.scores, np.sqrt(0.5), atol=1e-12)
 
 
 def test_eigenvector_shifted_retry_on_bipartite():
@@ -180,6 +185,10 @@ def test_pagerank_cases():
     two_k3 = build_graph([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     pr = pagerank(two_k3)
     assert np.allclose(pr.scores, pr.scores[0])
+    assert pagerank(build_graph([])).scores.shape == (0,)
+    pr = pagerank(build_graph([(1, 1), (2, 2)]))  # every vertex dangles
+    assert pr.converged
+    assert np.allclose(pr.scores, 0.5)
 
 
 def test_pagerank_sums_to_one(small_random_suite):
@@ -347,6 +356,11 @@ def test_best_jaccard_tie_walk():
     exact = _ranking([10.0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0])  # ranks v0 first
     name, j = best_jaccard_competitor("ref", {"ref": ref, "close": close, "exact": exact})
     assert j == 1
+    assert name == "exact"
+    # two competitors rank v0 first and stay tied; v1 decides between them
+    later = _ranking([10.0, 8, 9, 7, 6, 5, 4, 3, 2, 1, 0, 0])  # ranks v1 third
+    name, _ = best_jaccard_competitor(
+        "ref", {"ref": ref, "close": close, "later": later, "exact": exact})
     assert name == "exact"
 
 

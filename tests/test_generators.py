@@ -139,6 +139,7 @@ def test_generate_fixture_refuses_over_the_edge_limit(monkeypatch):
 def test_param_validation():
     for bad in (lambda: clique(1), lambda: disjoint_cliques(0, 4),
                 lambda: bridged_cliques(1, 1), lambda: clique_chain(2, 4),
-                lambda: clique_ring(2, 4), lambda: lone_triangle(-1)):
+                lambda: clique_ring(2, 4), lambda: lone_triangle(-1),
+                lambda: clique_bridge_hub(p=0)):
         with pytest.raises(InputError):
             bad()

@@ -25,6 +25,8 @@ def test_build_graph_cleans_input():
     out = io.StringIO()
     dump_edge_list(g, out)
     assert out.getvalue() == "1 2\n2 3\n"
+    with pytest.raises(InputError, match="mutually comparable"):
+        build_graph([(1, "a")])
 
 
 def test_build_graph_empty():

@@ -91,7 +91,7 @@ def test_mapreduce_structure_on_holme_kim(holme_kim_20k):
 # traced peak bytes per edge of one call, measured on 2-core x86-64 with
 # Python 3.11 and numpy 2.4 (the graph's own CSR is 17.6): about 15% headroom
 SPACE_PER_EDGE = {
-    triangle_centrality: 100,  # measured 87.1
+    triangle_centrality: 80,  # measured 69.6
     triangle_centrality_basic: 83,  # measured 72.0
     parallel_triangle_centrality: 131,  # measured 113.8
     triangle_centrality_algebraic: 120,  # measured 104.2
