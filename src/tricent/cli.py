@@ -84,8 +84,8 @@ def _emit_scores(g, cv, ranking, fmt, out):
     bits, inverse = np.unique(cv.scores[ranking.order].astype(float).view(np.int64),
                               return_inverse=True)
     text = list(map(repr, bits.view(np.float64).tolist()))
-    scores = map(text.__getitem__, inverse.tolist())
     if fmt == "json":
+        scores = map(text.__getitem__, inverse.tolist())
         # the bytes of json.dumps(payload, indent=2), written row by row: with
         # an indent, json runs its pure-Python encoder, three times slower than C
         ranks = ranking.rank[ranking.order].tolist()
@@ -97,7 +97,12 @@ def _emit_scores(g, cv, ranking, fmt, out):
                   f'  "triangle_free": {json.dumps(cv.triangle_free)},\n'
                   f'  "scores": {listing}\n}}\n')
     else:
-        out.write("".join(map("{}\t{}\n".format, labels, scores)))
+        # label, then the shared tail of its score, interleaved into one join
+        tails = [f"\t{score}\n" for score in text]
+        words = [""] * (2 * len(labels))
+        words[0::2] = map(str, labels)
+        words[1::2] = map(tails.__getitem__, inverse.tolist())
+        out.write("".join(words))
 
 
 # --algo name -> route: Graph -> (scores, the route's work tally or None)

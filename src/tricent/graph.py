@@ -298,10 +298,16 @@ def load_edge_list(path_or_file):
 
 
 def dump_edge_list(g, file):
-    """Write one `label label` line per undirected edge."""
-    labels = g.labels
-    for u, v in g.edges():
-        file.write(f"{labels[u]} {labels[v]}\n")
+    """Write one `label label` line per undirected edge, in one write."""
+    text = list(map(str, g.labels))
+    heads = np.array([f"{label} " for label in text], dtype=object)
+    tails = np.array([f"{label}\n" for label in text], dtype=object)
+    u, v = g._edge_ends()
+    # object gathers copy references, not strings, and make no int per edge
+    words = np.empty(2 * g.m, dtype=object)
+    words[0::2] = heads[u]
+    words[1::2] = tails[v]
+    file.write("".join(words.tolist()))
 
 
 def row_lists(flat, offsets):

@@ -78,6 +78,18 @@ def test_edge_list_round_trip(small_random_suite):
         assert np.array_equal(g2.neighbors, g.neighbors)
 
 
+def test_dump_edge_list_writes_one_line_per_edge():
+    # the per-edge f-string loop that dump_edge_list's one join replaces
+    int_labels = load_fixture("karate")
+    str_labels = build_graph([("hub", "b"), ("b", "ç1"), ("hub", "z9"), ("a", "hub")])
+    assert isinstance(int_labels.labels[0], int) and isinstance(str_labels.labels[0], str)
+    for g in (int_labels, str_labels, build_graph([])):
+        want = "".join(f"{g.labels[u]} {g.labels[v]}\n" for u, v in g.edges())
+        buf = io.StringIO()
+        dump_edge_list(g, buf)
+        assert buf.getvalue() == want
+
+
 def test_degree_order_star():
     g = build_graph([("c", "l1"), ("c", "l2"), ("c", "l3")])
     rank = degree_order(g)

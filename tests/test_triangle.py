@@ -205,6 +205,93 @@ def test_triangle_centrality_scores_equal_the_merge_route(small_random_suite,
         assert triangle_centrality(g).scores.tobytes() == merged.scores.tobytes()
 
 
+def g_n_m(n, m, seed, offset=0):
+    """Seeded G(n, m) edge draw on labels offset..offset + n - 1; repeated
+    pairs and self-loops collapse in build_graph."""
+    ends = np.random.default_rng(seed).integers(offset, offset + n, size=(m, 2))
+    return list(map(tuple, ends.tolist()))
+
+
+def spy_on_the_filter(monkeypatch):
+    """Record (pairs in, pairs passed) for every block that wedge_counts filters."""
+    calls = []
+    inner = triangle._wedge_filter
+
+    def spy(sig, shift, first, second):
+        keep = inner(sig, shift, first, second)
+        calls.append((first.shape[0], keep.shape[0]))
+        return keep
+
+    monkeypatch.setattr(triangle, "_wedge_filter", spy)
+    return calls
+
+
+def test_wedge_filter_passes_open_wedges(monkeypatch):
+    # v's prefix is {a, b}, a's prefix is {c}, c = 2 and b = 66 share bit 2,
+    # and there is no edge a-b: the signature passes the open wedge (a, b)
+    v, a, c, b = 0, 1, 2, 66
+    edges = [(v, a), (v, b), (a, c), (a, 101)]
+    edges += [(c, x) for x in (102, 103, 104)] + [(b, x) for x in (105, 106, 107)]
+    fillers = [(x, x) for x in range(3, 66)]  # ids equal labels up to 66
+    hand = build_graph(edges + fillers)
+    assert hand.id_of(b) == b and (b - c) % 64 == 0
+    calls = spy_on_the_filter(monkeypatch)
+    monkeypatch.setattr(triangle, "_FILTER_MIN_PAIRS", 1)  # the graph has one pair
+    adj = ordered(hand)
+    assert adj.higher[adj.prefix_offsets[v]:adj.prefix_offsets[v + 1]].tolist() == [a, b]
+    assert adj.higher[adj.prefix_offsets[a]:adj.prefix_offsets[a + 1]].tolist() == [c]
+    counts = wedge_counts(adj)
+    assert calls == [(1, 1)] and not counts.any()
+    assert np.array_equal(counts, triangle_neighbor(adj)[0].per_edge)
+    # n = 500: ids collide mod 64, and more pairs pass than close
+    g = build_graph(g_n_m(500, 2500, 5))
+    calls.clear()
+    adj = ordered(g)
+    counts = wedge_counts(adj)
+    passed = sum(k for _, k in calls)
+    assert passed > int(counts.sum()) // 3 > 0
+    assert np.array_equal(counts, triangle_neighbor(adj)[0].per_edge)
+
+
+def test_wedge_filter_skips_graphs_with_few_pairs(monkeypatch):
+    calls = spy_on_the_filter(monkeypatch)
+    seen = []
+    for n, m in ((100, 300), (200, 800)):  # 348 and 1,453 prefix pairs
+        adj = ordered(build_graph(g_n_m(n, m, 3)))
+        pairs = int((adj.prefix_len * (adj.prefix_len - 1) // 2).sum())
+        calls.clear()
+        assert wedge_counts(adj).tolist() == merge_counts(adj)
+        seen.append((pairs >= triangle._FILTER_MIN_PAIRS, len(calls) > 0))
+    assert seen == [(False, False), (True, True)]
+
+
+def test_wedge_filter_stops_once_a_block_passes_more_than_half(monkeypatch):
+    sparse = g_n_m(2000, 10_000, 11, offset=100)
+    k80 = [(i, j) for i in range(80) for j in range(i + 1, 80)]
+    k80_last = [(i + 5000, j + 5000) for i, j in k80]
+    cases = {
+        "K_80": (k80, "off after the first block"),
+        "sparse": (sparse, "on throughout"),
+        "clique first": (k80 + sparse + [(0, 100), (1, 101)], "off after the first block"),
+        "clique last": (sparse + k80_last + [(5000, 100), (5001, 101)], "off after some"),
+    }
+    calls = spy_on_the_filter(monkeypatch)
+    for name, (edges, side) in cases.items():
+        adj = ordered(build_graph(edges))
+        blocks = len(list(_prefix_pairs(adj)))
+        calls.clear()
+        assert wedge_counts(adj).tolist() == merge_counts(adj), name
+        over = [2 * k > p for p, k in calls]
+        # every filtered block but the last passed at most half
+        assert blocks > 1 and not any(over[:-1]), name
+        if side == "on throughout":
+            assert len(calls) == blocks and not over[-1], name
+        elif side == "off after the first block":
+            assert len(calls) == 1 and over[0], name
+        else:
+            assert 1 < len(calls) < blocks and over[-1], name
+
+
 def test_wedge_counts_memory_is_bounded():
     g, _ = clique(260)  # 2.9e6 wedges: unblocked, their index arrays need > 150 MB
     adj = ordered(g)
