@@ -210,9 +210,12 @@ def _signatures(adj):
     shift &= 63
     # entries run by lower, so each non-empty prefix is one run of the bits
     has = adj.prefix_len > 0
+    # a uint64 array on the left keeps the bits uint64 under numpy 1.x's
+    # value-based casting too, which would shift a uint64 scalar as uint8
+    bits = np.ones(adj.m, dtype=np.uint64)
+    bits <<= shift
     sig = np.zeros(adj.n, dtype=np.uint64)
-    sig[has] = np.bitwise_or.reduceat(np.left_shift(np.uint64(1), shift),
-                                      adj.prefix_offsets[:-1][has])
+    sig[has] = np.bitwise_or.reduceat(bits, adj.prefix_offsets[:-1][has])
     return sig[higher], shift
 
 

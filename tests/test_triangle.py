@@ -226,6 +226,21 @@ def spy_on_the_filter(monkeypatch):
     return calls
 
 
+def test_signatures_hold_all_64_bits():
+    adj = ordered(build_graph(g_n_m(500, 2500, 5)))
+    sig, shift = triangle._signatures(adj)
+    assert sig.dtype == np.uint64 and np.array_equal(shift, adj.higher & 63)
+    offsets, higher = adj.prefix_offsets.tolist(), adj.higher.tolist()
+    want = []
+    for v in higher:
+        word = 0
+        for w in higher[offsets[v]:offsets[v + 1]]:
+            word |= 1 << (w & 63)
+        want.append(word)
+    assert sig.tolist() == want
+    assert any(word >> 8 for word in want)  # bits past the first byte are in use
+
+
 def test_wedge_filter_passes_open_wedges(monkeypatch):
     # v's prefix is {a, b}, a's prefix is {c}, c = 2 and b = 66 share bit 2,
     # and there is no edge a-b: the signature passes the open wedge (a, b)
