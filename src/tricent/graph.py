@@ -6,10 +6,13 @@ both directions). External labels may be ints or strings; internally vertices
 are dense 0-based ids assigned in sorted label order, so label order and
 internal id order always agree.
 
-Edge-list text is tokenized and coded in numpy over its UTF-8 bytes (see
-``_code_tokens``): Python creates one object per distinct label, not one per
-token. ``build_graph`` codes Python labels with a dict; both routes share the
-CSR step, ``_graph_from_ids``.
+An edge list is read as bytes into one bytearray padded with spaces
+(``_read_data``), with newlines translated as text mode does; only input that
+is not ASCII is decoded, once, and encoded back. Comment lines are blanked in
+that buffer, and it is tokenized and coded in numpy (see ``_code_tokens``):
+Python creates one object per distinct label, not one per token, and integer
+labels are coded with one sort and one ``searchsorted``. ``build_graph`` codes Python labels
+with a dict; both routes share the CSR step, ``_graph_from_ids``.
 
 Ingest keeps its per-token arrays narrow and short-lived: token starts,
 lengths and coded ids are int32 (int64 only for inputs of 2**31 bytes or
@@ -18,6 +21,7 @@ more), the packed arc keys of the CSR step are int64 (``n * n`` can pass
 A Graph's ``offsets`` and ``neighbors`` are int64 whatever the ingest widths.
 """
 
+import os
 import re
 import sys
 
@@ -69,7 +73,8 @@ class Graph:
 # Once any non-ASCII whitespace is replaced by a space, a byte of the UTF-8
 # text is in a token iff this table maps it to 1.
 _IN_TOKEN = bytes(0 if b in b"\t\n\v\f\r\x1c\x1d\x1e\x1f " else 1 for b in range(256))
-_COMMENT = re.compile(r"^[^\S\n]*+#.*", re.MULTILINE)
+# a line of that whitespace but the newline, then "#"; a bytes \s lacks \x1c-\x1f
+_COMMENT = re.compile(rb"^[\t\v\f\r\x1c-\x1f ]*+#.*", re.MULTILINE)
 _WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
 # tokens longer than this many 8-byte words are coded in Python instead:
 # the key matrix holds that many words for every token
@@ -78,6 +83,9 @@ _MAX_KEY_WORDS = 8
 _KEEP = np.array([[(1 << 64) - (1 << (64 - 8 * min(max(length - 8 * k, 0), 8)))
                    for length in range(8 * _MAX_KEY_WORDS + 1)]
                   for k in range(_MAX_KEY_WORDS)], dtype=np.uint64)
+# the spaces after the data, so that every word read at a token start is in
+# bounds and the byte after every token is whitespace
+_PADDING = b" " * (8 * _MAX_KEY_WORDS)
 
 
 def _index_dtype(size):
@@ -95,11 +103,12 @@ def _changes(a, before):
 
 def _raise_bad_line(text, source):
     """Raise InputError for the first line that is neither blank nor two
-    tokens. Every caller has found tokens that do not pair up by line, so
-    finding no such line is an internal fault: ConsistencyError."""
+    tokens, skipping comment lines. Every caller has found tokens that do
+    not pair up by line, so finding no such line is an internal fault:
+    ConsistencyError."""
     for lineno, line in enumerate(text.split("\n"), start=1):
         tokens = line.split()
-        if tokens and len(tokens) != 2:
+        if tokens and len(tokens) != 2 and not tokens[0].startswith("#"):
             raise InputError(f"{source}:{lineno}: expected two tokens, "
                              f"got {len(tokens)}: {line.strip()!r}")
     raise ConsistencyError(f"{source}: the tokens do not pair up by line, "
@@ -118,29 +127,41 @@ def _code_labels(ends):
                                dtype=_index_dtype(len(ends)), count=len(ends))
 
 
-def _code_tokens(text, source):
-    """Sorted distinct tokens of an edge-list text and each token's index
-    among them, in text order.
+def _pairs_by_line(raw, starts, length):
+    """Whether the tokens at ``starts`` (of ``length`` bytes) of the padded
+    bytes ``raw`` pair up by line: no newline in the gap after the first
+    token of a pair, one in the gap after the second (but the last)."""
+    if starts.shape[0] % 2:
+        return False
+    end = starts + length
+    newline = raw[end] == 10  # the gap's first byte, all of a one-byte gap
+    # only wider gaps that open with other whitespace are searched
+    wide = starts[1:] - end[:-1] > 1
+    wide &= ~newline[:-1]
+    wide = np.flatnonzero(wide)
+    if wide.shape[0]:
+        spans = np.stack((end[wide], starts[wide + 1]), axis=1).ravel()
+        newline[wide] = np.logical_or.reduceat(raw == 10, spans)[0::2]
+    return not newline[0::2].any() and newline[1:-1:2].all()
+
+
+def _code_tokens(data, text, source):
+    """Sorted distinct tokens of padded edge-list data and each token's
+    index among them, in data order (see ``_read_data`` for ``text``).
 
     Every per-token step runs in numpy over the UTF-8 bytes; Python sees
     only the distinct tokens. A token is keyed by its bytes, read as
     big-endian 8-byte words with the bytes past its end masked to zero,
-    plus its length when the text holds a NUL (without one, every zero
+    plus its length when the data holds a NUL (without one, every zero
     byte of a key is masking). UTF-8 byte order is code point order, so the keys sort
     tokens as ``sorted()`` sorts strings. Tokens over ``8 * _MAX_KEY_WORDS``
     bytes are coded in Python.
 
     Token starts, lengths and the returned ids are int32, or int64 when the
     padded bytes reach 2**31; the key words are uint64. Each per-token
-    temporary is dropped as soon as it has been used, so that the text, its
-    bytes and a few narrow arrays make the peak.
+    temporary is dropped as soon as it has been used, so that the bytes and
+    a few narrow arrays make the peak.
     """
-    spaced = text if text.isascii() else _WIDE_SPACE.sub(" ", text)
-    # padded with spaces, so that every word read at a token start is in
-    # bounds and the byte after every token is whitespace
-    # encoded first: padding the str would copy it at up to 4 bytes a character
-    data = spaced.encode("utf-8", "surrogatepass") + b" " * (8 * _MAX_KEY_WORDS)
-    del spaced
     index = _index_dtype(len(data))
     raw = np.frombuffer(data, dtype=np.uint8)
     # tokens start and end where the in-token flag flips (from out of token
@@ -150,26 +171,22 @@ def _code_tokens(text, source):
     del flips
     if bounds.shape[0] == 0:
         return [], np.zeros(0, dtype=index)
-    # every non-blank line holds two tokens: no newline in the gap after the
-    # first token of a pair, one in the gap after the second (but the last)
-    gaps = np.logical_or.reduceat(raw == 10, bounds)[1::2]
-    if gaps.shape[0] % 2 or gaps[0::2].any() or not gaps[1:-1:2].all():
-        _raise_bad_line(text, source)
-    del gaps
     starts = bounds[0::2].astype(index)
     length = bounds[1::2].astype(index)
     del bounds
     length -= starts
+    if not _pairs_by_line(raw, starts, length):
+        _raise_bad_line(text or data.decode("utf-8", "surrogatepass"), source)
     words = -(-int(length.max()) // 8)
     if words > _MAX_KEY_WORDS:
-        return _code_labels(text.split())
+        return _code_labels(data.decode("utf-8", "surrogatepass").split())
     big = np.ndarray((raw.shape[0] - 7,), dtype=">u8", buffer=data, strides=(1,))
     keys = []
     for k in range(words):
         key = big[starts + 8 * k].astype(np.uint64)
         key &= _KEEP[k, length]
         keys.append(key)
-    if "\0" in text:
+    if b"\0" in data:
         keys.append(length)
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
     first = np.zeros(order.shape[0], dtype=bool)  # first of a distinct token, sorted
@@ -193,27 +210,37 @@ def _code_tokens(text, source):
     return distinct.split(), ids
 
 
-def _code_text(text, source):
-    """Labels and endpoint ids of an edge-list text: ``(labels, ids)``, with
-    ``ids`` flat as ``[a1, b1, a2, b2, ...]``.
+def _code_text(data, text, source):
+    """Labels and endpoint ids of padded edge-list data and its text (see
+    ``_read_data``): ``(labels, ids)``, with ``ids`` flat as
+    ``[a1, b1, a2, b2, ...]``.
 
-    One leading byte-order mark (U+FEFF) is dropped; any other stays part of
-    its token. Comment lines (first non-blank character ``#``) and blank
-    lines are ignored. The labels are ints when ``int()`` accepts every token
-    (tokens of one value, such as ``007`` and ``7``, are one label), and
-    strings otherwise.
+    Comment lines (first non-blank character ``#``) and blank lines are
+    ignored. The labels are ints when ``int()`` accepts every token (tokens
+    of one value, such as ``007`` and ``7``, are one label), and strings
+    otherwise.
     """
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    if "#" in text:
-        text = _COMMENT.sub("", text)  # blanks each comment line, keeping line numbers
-    distinct, ids = _code_tokens(text, source)
+    if b"#" in data:
+        # blanks each comment line, keeping line numbers, back into ``data``
+        body = len(data) - len(_PADDING)
+        data[:body] = _COMMENT.sub(b"", memoryview(data)[:body])
+    distinct, ids = _code_tokens(data, text, source)
     try:
-        values = list(map(int, distinct))
-    except ValueError:
+        try:
+            values = np.fromiter(map(int, distinct), dtype=np.int64, count=len(distinct))
+            # a sort and a search, not np.unique's int64 argsort, which raised
+            # the peak RSS of tc compute on 20k int labels by 1.5 MB
+            labels = np.sort(values)
+            keep = np.ones(labels.shape[0], dtype=bool)
+            np.not_equal(labels[1:], labels[:-1], out=keep[1:])
+            labels = labels[keep]
+            remap = np.searchsorted(labels, values)
+            labels = labels.tolist()
+        except OverflowError:  # a value past int64
+            labels, remap = _code_labels(list(map(int, distinct)))
+    except ValueError:  # a token that int() rejects: string labels
         return tuple(distinct), ids
-    labels, remap = _code_labels(values)
-    return tuple(labels), remap[ids]
+    return tuple(labels), remap.astype(ids.dtype, copy=False)[ids]
 
 
 def _graph_from_ids(labels, ids):
@@ -252,39 +279,83 @@ def build_graph(edge_list):
 
 
 def parse_edge_list(fh, source="<input>"):
-    """Parse the edge-list text of the open text stream ``fh`` into a list of
-    label pairs: two whitespace-separated tokens per line.
+    """Parse the edge-list text of the open file ``fh`` (text or binary,
+    read as :func:`load_edge_list` reads it) into a list of label pairs:
+    two whitespace-separated tokens per line.
 
     Lines starting with ``#`` and blank lines are ignored. Integer tokens are
     used as int labels when every token in the input is integral; otherwise
     all labels stay strings.
     """
-    labels, ids = _code_text(fh.read(), source)
+    labels, ids = _code_text(*_read_data(fh, source), source)
     ends = np.array(labels, dtype=object)[ids]
     return list(zip(ends[0::2].tolist(), ends[1::2].tolist()))
 
 
-def _read_text(path_or_file, source):
-    """The whole text of a path, '-' for stdin, or an open file; input that is
-    not UTF-8 raises OSError naming ``source``."""
+def _read_padded(fh):
+    """Every byte left in the binary file ``fh``, in a bytearray followed by
+    ``_PADDING``. The bytes are read in place into a buffer of the file's
+    size; what that read leaves (a pipe has no size, a file may grow) is
+    read after it and inserted before the padding."""
+    size = os.fstat(fh.fileno()).st_size
+    data = bytearray(size + len(_PADDING))
+    data[size:] = _PADDING
+    got = fh.readinto(memoryview(data)[:size]) if size else 0
+    data[got:size] = fh.read()
+    return data
+
+
+def _utf8(text):
+    """``(data, text)``: the padded UTF-8 of an edge-list text, with one
+    leading byte-order mark (U+FEFF) dropped and any non-ASCII whitespace
+    made a space, and the text without that mark if a space was made, else
+    None; any other byte-order mark stays part of its token."""
+    text = text.removeprefix("\ufeff")
+    spaced, wide = (text, 0) if text.isascii() else _WIDE_SPACE.subn(" ", text)
+    data = bytearray(spaced.encode("utf-8", "surrogatepass"))
+    data += _PADDING
+    return data, text if wide else None
+
+
+def _read_data(path_or_file, source):
+    """``(data, text)`` of a path, '-' for stdin, or an open text or binary
+    file: its UTF-8 in a bytearray followed by ``_PADDING``, and its text
+    where that differs from the data's, for error messages (see ``_utf8``).
+
+    Bytes are read as text mode reads them: strictly as UTF-8, else OSError
+    naming ``source``, and with ``\\r\\n`` and a lone ``\\r`` made ``\\n``; a
+    text stream has done both itself. Only data that is not ASCII is
+    decoded.
+    """
+    if path_or_file == "-":
+        # read as bytes, not by sys.stdin, whose error handler may pass any byte through
+        path_or_file = getattr(sys.stdin, "buffer", sys.stdin)
     try:
-        if hasattr(path_or_file, "read"):
-            return path_or_file.read()
-        if path_or_file != "-":
-            with open(path_or_file, encoding="utf-8") as fh:
-                return fh.read()
-        if hasattr(sys.stdin, "buffer"):
-            # decoded here, not by sys.stdin, whose error handler may pass
-            # any byte through; newlines translated as in text mode
-            text = sys.stdin.buffer.read().decode("utf-8")
-            return text.replace("\r\n", "\n").replace("\r", "\n")
-        return sys.stdin.read()  # stdin replaced by a text stream
+        if not hasattr(path_or_file, "read"):
+            with open(path_or_file, "rb") as fh:
+                data = _read_padded(fh)
+        else:
+            data = path_or_file.read()
+            if isinstance(data, str):
+                return _utf8(data)
+            data = bytearray(data)
+            data += _PADDING
+        if not data.isascii():
+            # decoded before the newlines are translated, so that an error
+            # names the position in the file, as text mode does
+            text = str(memoryview(data)[:-len(_PADDING)], "utf-8")
+            del data
+            return _utf8(text.replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:
         raise OSError(f"{source}: not UTF-8 text: {exc}") from exc
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data, None
 
 
 def load_edge_list(path_or_file):
-    """Read an edge-list file (path, '-' for stdin, or open file) into a Graph.
+    """Read an edge-list file (path, '-' for stdin, or open text or binary
+    file) into a Graph.
 
     Input that is not UTF-8 raises OSError naming the source.
     """
@@ -292,9 +363,7 @@ def load_edge_list(path_or_file):
         source = getattr(path_or_file, "name", "<stream>")
     else:
         source = "<stdin>" if path_or_file == "-" else str(path_or_file)
-    # the text is passed as a temporary, so _code_text holds its only
-    # reference and frees it when blanking comments makes a new copy
-    return _graph_from_ids(*_code_text(_read_text(path_or_file, source), source))
+    return _graph_from_ids(*_code_text(*_read_data(path_or_file, source), source))
 
 
 def dump_edge_list(g, file):

@@ -146,10 +146,12 @@ def _prefix_pairs(adj):
     poff, lower, m = adj.prefix_offsets, adj.lower, adj.m
     if m == 0:
         return
-    # entry e opens one pair with each later entry of its row; a block ends
-    # where the running pair count passes a multiple of the block size
+    # entry e opens one pair with each later entry of its row, width[e] in
+    # all (kept as int32 for the blocks); a block ends where the running
+    # pair count passes a multiple of the block size
     running = poff[lower + 1]
     running -= np.arange(1, m + 1)
+    width = running.astype(np.int32)
     np.cumsum(running, out=running)
     cuts = np.searchsorted(running, np.arange(_WEDGE_BLOCK, running[-1], _WEDGE_BLOCK),
                            side="right").tolist()
@@ -157,7 +159,7 @@ def _prefix_pairs(adj):
     lo = 0
     for hi in cuts + [m]:
         e = np.arange(lo, hi)
-        w = poff[lower[lo:hi] + 1] - e - 1
+        w = width[lo:hi].astype(np.int64)
         first = np.repeat(e, w)
         # second runs over the entries after first in its row
         second = np.repeat(e + 1 + w - np.cumsum(w), w)
