@@ -125,12 +125,25 @@ def _run(g, algo):
                 "shape": cv.shape}
 
 
-def _write_record(record, out):
-    """Write ``record`` with the process's peak RSS so far, in MB."""
+def _peak_rss_mb():
+    """This process's peak resident set so far, in MB: VmHWM. Not
+    ``ru_maxrss`` where VmHWM can be read, since after fork or vfork and exec
+    that keeps the parent's high-water mark as well."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    except OSError:
+        pass
     import resource  # here, not at start-up: only a written record reads it
 
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    out.write(json.dumps({**record, "peak_rss_mb": peak_rss_mb},
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def _write_record(record, out):
+    """Write ``record`` with the process's peak RSS so far, in MB."""
+    out.write(json.dumps({**record, "peak_rss_mb": _peak_rss_mb()},
                          default=dataclasses.asdict) + "\n")
 
 

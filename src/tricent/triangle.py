@@ -9,8 +9,9 @@ triangle-neighbor marks are assembled from those counts by the shared
 marked entries in both directions (`marked_pairs`). There is one public
 routine per kernel. `count_triangles` is the production kernel, which the
 main and PRAM routes call: the vectorized wedge check (`wedge_counts`) looks
-up the closing edge of every pair of entries of one prefix with
-`searchsorted` among the sorted entry keys. Before the search, a one-word
+up the closing edge of every pair of entries of one prefix by a branch-free
+bisection inside the prefix that must hold it (`_prefix_search`), at most
+⌈log₂(L + 1)⌉ gathers for L the longest prefix. Before the search, a one-word
 signature of each prefix (bit ``w & 63`` for each member w) drops the pairs
 whose closing edge cannot exist; once one block passes more than half of its
 pairs the filter is switched off for the rest of the call, and graphs with
@@ -20,7 +21,8 @@ unfiltered, against a hash table of the edges built in numpy; both run one
 blocked pair loop (`_pair_counts` over `_prefix_pairs`), so their memory
 stays O(m). The pure-Python merge intersection `triangle_neighbor` (over
 `_merge_counts`) counts its comparisons as it runs; the PRAM route takes that
-count in closed form from the prefix ends (`merge_comparison_count`). The
+count in closed form from the prefix ends and the same bisection
+(`merge_comparison_count`). The
 set-intersection variant `hash_intersection_tri_neighbors` looks the prefixes
 up in dicts instead of merging them. All four agree with the oracle on
 per-vertex counts, the global count, and the triangle-neighbor relation.
@@ -96,6 +98,44 @@ def _merge_counts(prefixes, poff, counts):
     return comparisons
 
 
+_KEY_SENTINEL = np.iinfo(np.int64).max  # above every packed key x * n + y
+
+
+def _prefix_search(adj):
+    """A lower-bound search of packed keys inside one prefix.
+
+    Returns ``(keys, bound)``. ``keys`` holds the entry keys ``lower * n +
+    higher``, which ascend, followed by L + 1 int64-max sentinels, for L the
+    longest prefix. ``bound(x, needle)`` gives, for each needle in [x * n,
+    (x + 1) * n], the first entry of P(x) whose key is not below it, or
+    ``prefix_offsets[x + 1]`` if there is none; the needle is present iff
+    ``keys`` holds it there. The search starts at ``prefix_offsets[x]`` and,
+    for each power of two s <= L in descending order, steps s further where
+    the key s - 1 ahead is below the needle: ⌈log₂(L + 1)⌉ rounds of one
+    gather each (branch-free bisection, Khuong & Morin, ACM JEA 2017). It
+    needs no test for the end of the prefix: the keys of later prefixes are
+    at least (x + 1) * n, and the sentinels pad the last.
+    """
+    poff = adj.prefix_offsets
+    longest = int(adj.prefix_len.max(initial=0))
+    keys = np.full(adj.m + longest + 1, _KEY_SENTINEL, dtype=np.int64)
+    head = keys[:adj.m]
+    np.multiply(adj.lower, adj.n, out=head)
+    head += adj.higher
+    # keys[s - 1:] for each step s, so each round gathers without an offset
+    ahead = [(1 << k, keys[(1 << k) - 1:]) for k in reversed(range(longest.bit_length()))]
+
+    def bound(x, needle):
+        pos = poff[x]
+        for s, view in ahead:
+            # in place, pos stays int64 under numpy 1.x and 2.x promotion alike;
+            # np.add(..., where=) took four times as long
+            pos += (view[pos] < needle) * s
+        return pos
+
+    return keys, bound
+
+
 def merge_comparison_count(adj, total):
     """The comparisons of :func:`_merge_counts` on ``adj``, without merging;
     ``total`` is the graph's triangle count.
@@ -107,8 +147,8 @@ def merge_comparison_count(adj, total):
     costs #{w in P(v) : w <= t} + #{w in P(u) : w <= t} - |P(v) ∩ P(u)|, and
     entries with P(u) empty cost 0. Each triangle is matched at exactly one
     entry, so the matches sum to ``total``. One of the two counts is a whole
-    prefix length; the other is one ``searchsorted`` of ``x * n + t`` among
-    the sorted entry keys ``lower * n + higher``, less ``prefix_offsets[x]``.
+    prefix length; the other is the lower bound of ``x * n + t + 1`` inside
+    P(x) (:func:`_prefix_search`), less ``prefix_offsets[x]``.
     """
     n, plen, poff = adj.n, adj.prefix_len, adj.prefix_offsets
     e = np.flatnonzero(plen[adj.higher])
@@ -119,12 +159,13 @@ def merge_comparison_count(adj, total):
     lv, lu = last[v], last[u]
     v_ends = lv <= lu
     # the prefix that ends first is counted whole, the other up to its end t
-    whole = np.where(v_ends, plen[v], plen[u])
+    whole = int(np.where(v_ends, plen[v], plen[u]).sum())
     x = np.where(v_ends, u, v)
     t = np.minimum(lv, lu)
-    # the sum ignores the needles' order; sorted, the probes walk the keys in order
-    part = np.searchsorted(adj.lower * n + adj.higher, np.sort(x * n + t), side="right")
-    return int(whole.sum()) + int(part.sum()) - int(poff[x].sum()) - total
+    del e, v, u, lv, lu, v_ends  # so that the search's arrays do not raise the peak
+    _, bound = _prefix_search(adj)
+    part = bound(x, x * n + t + 1)
+    return whole + int(part.sum()) - int(poff[x].sum()) - total
 
 
 # Entry pairs per block of _prefix_pairs. A block's index arrays are the
@@ -192,10 +233,10 @@ def _pair_counts(adj, find):
 
 # Prefix pairs below which wedge_counts searches without the filter: building
 # the signatures and filtering take about twenty numpy calls, which cost more
-# than they save on fewer pairs. On sparse G(n, m) the filter broke even near a
-# thousand pairs (2-core x86-64, numpy 2.4); half of the benchmark's small-batch
-# graphs have fewer than 400.
-_FILTER_MIN_PAIRS = 1 << 10
+# than they save on fewer pairs. Against the in-prefix bisection, the filter
+# broke even near 3,000 pairs on sparse G(n, m) (2-core x86-64, numpy 2.4);
+# half of the benchmark's small-batch graphs have fewer than 400.
+_FILTER_MIN_PAIRS = 1 << 12
 
 
 def _signatures(adj):
@@ -230,10 +271,11 @@ def _wedge_filter(sig, shift, first, second):
 def wedge_counts(adj):
     """Per-entry triangle counts by checking the wedges inside each prefix.
 
-    A wedge's closing edge {a, b} is held by the lower-ordered of a and b as
-    a prefix entry, so its packed key (lower * n + other) is looked up with
-    ``searchsorted`` among the entries' keys ``lower * n + higher``, which
-    are sorted. The pair loop is :func:`_pair_counts`.
+    A wedge's closing edge {a, b} is held by the lower-ordered of a and b,
+    say x, as an entry of P(x), so its packed key (x * n + other) is looked
+    up by a bisection inside P(x) alone (:func:`_prefix_search`), at most
+    ⌈log₂(L + 1)⌉ gathers for L the longest prefix. The pair loop is
+    :func:`_pair_counts`.
 
     Before the search, a one-word Bloom filter of each prefix
     (:func:`_signatures`, :func:`_wedge_filter`) drops most open wedges with a
@@ -243,24 +285,22 @@ def wedge_counts(adj):
     blocks go to the search unfiltered; graphs with fewer than
     ``_FILTER_MIN_PAIRS`` pairs are searched unfiltered throughout. On the
     benchmark's sparse ``er-dirty`` graph 8.6% of the pairs pass, and the
-    kernel (the ``detect`` phase of ``tc compute --stats``, 2-core x86-64)
-    took 9.0 ms, against 15.7 ms without the filter.
+    kernel (2-core x86-64) took 8.9 ms, against 11.9 ms without the filter.
     """
     n, rank, higher, plen = adj.n, adj.rank, adj.higher, adj.prefix_len
-    keys = adj.lower * n + higher
+    keys, bound = _prefix_search(adj)
     filtering = int(plen @ (plen - 1)) // 2 >= _FILTER_MIN_PAIRS
     sig, shift = _signatures(adj) if filtering else (None, None)
 
     def search(first, second):
         a, b = higher[first], higher[second]
-        key = np.where(rank[a] < rank[b], a * n + b, b * n + a)
-        # sorted needles make searchsorted's probes walk the keys in order
-        order = np.argsort(key)
-        key = key[order]
-        at = np.searchsorted(keys, key)
-        np.minimum(at, adj.m - 1, out=at)
+        x = np.where(rank[a] < rank[b], a, b)
+        key = x * (n - 1)
+        key += a
+        key += b  # x * n + the other end
+        at = bound(x, key)
         hit = keys[at] == key
-        return order[hit], at[hit]
+        return hit, at[hit]
 
     def find(first, second):
         nonlocal filtering

@@ -387,6 +387,25 @@ def test_closed_stdout_pipe_exits_two_quietly(karate_file):
     assert err == b""
 
 
+def _vm_rss_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
+
+
+def test_stats_peak_rss_is_the_childs_own(karate_file):
+    # ru_maxrss of a child started through fork or vfork and exec keeps the
+    # parent's high-water mark; the record must give the child's own peak,
+    # which the ballast held by this process does not reach
+    ballast = bytes(range(256)) * (1 << 18)  # 64 MB, every page written
+    parent = _vm_rss_mb()
+    proc = subprocess.run([sys.executable, "-m", "tricent.cli", "compute", karate_file,
+                           "--stats"], env=child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert len(ballast) == 64 << 20  # held until the child has exited
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr)["peak_rss_mb"] < parent - 32
+
+
 def test_non_utf8_file_exits_two(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"1 2\n2 \xff\n")

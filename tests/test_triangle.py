@@ -195,6 +195,59 @@ def test_wedge_counts_do_not_depend_on_the_blocks(monkeypatch, small_random_suit
     assert [_hash_counts(ordered(g)).tolist() for g in graphs] == want
 
 
+def clique_on_sparse(size, seed):
+    """K_size on labels 1000 and up, joined by two edges to a sparse G(300, 600).
+
+    The clique's vertices take the largest ids, so their rows end the
+    entries, and its lowest-ranked vertex holds the longest prefix, size - 1.
+    """
+    k = [(1000 + i, 1000 + j) for i in range(size) for j in range(i + 1, size)]
+    return build_graph(g_n_m(300, 600, seed) + k + [(0, 1000), (1, 1001)])
+
+
+def hubs_through_a_wedge():
+    """Wedge 0-1, 0-2 between two hubs with five leaves each: the hubs rank
+    above 0, and hub 1, the lower-ranked end of the pair, has an empty prefix."""
+    return build_graph([(0, 1), (0, 2)] + [(h, 10 * h + i) for h in (1, 2) for i in range(5)])
+
+
+@pytest.mark.parametrize("size", [8, 9, 10, 16, 17, 18])
+def test_prefix_search_is_the_lower_bound_in_every_prefix(size):
+    # the longest prefix L is 2^k - 1, 2^k or 2^k + 1 for k = 3, 4
+    adj = ordered(clique_on_sparse(size, size))
+    n, m, poff = adj.n, adj.m, adj.prefix_offsets
+    longest = size - 1
+    assert adj.prefix_len.max() == longest
+    keys, bound = triangle._prefix_search(adj)
+    assert np.array_equal(keys[:m], adj.lower * n + adj.higher)
+    assert keys.shape[0] == m + longest + 1 and np.all(keys[m:] == np.iinfo(np.int64).max)
+    # the last non-empty prefix probes past the entries, into the sentinels
+    last = int(np.flatnonzero(adj.prefix_len)[-1])
+    assert poff[last] + (1 << (longest.bit_length() - 1)) - 1 >= m
+    # every row, empty ones too, against every needle x * n + y, y in [0, n]
+    x = np.repeat(np.arange(n, dtype=np.int64), n + 1)
+    needle = x * n + np.tile(np.arange(n + 1, dtype=np.int64), n)
+    at = bound(x, needle)
+    assert at.dtype == np.int64
+    assert np.array_equal(at, np.searchsorted(keys[:m], needle))
+    assert np.all((poff[x] <= at) & (at <= poff[x + 1]))
+
+
+def test_wedge_counts_at_the_bisection_edges():
+    graphs = [clique_on_sparse(size, size) for size in (8, 9, 10, 16, 17, 18)]
+    graphs += [hubs_through_a_wedge()]
+    for g in graphs:
+        adj = ordered(g)
+        assert wedge_counts(adj).tolist() == _hash_counts(adj).tolist() == merge_counts(adj)
+        tally = MergeTally()
+        triangle_neighbor(adj, tally)
+        assert merge_comparison_count(adj, tally.triangles) == tally.merge_comparisons
+    # the pair (1, 2) of P(0) searches P(1), which is empty
+    adj = ordered(graphs[-1])
+    assert adj.higher[adj.prefix_offsets[0]:adj.prefix_offsets[1]].tolist() == [1, 2]
+    assert adj.prefix_len[1] == 0 and adj.rank[1] < adj.rank[2]
+
+
 def test_triangle_centrality_scores_equal_the_merge_route(small_random_suite,
                                                           random_suite_500):
     fixtures = [load_fixture(name) for name in FIXTURE_NAMES]
@@ -271,7 +324,7 @@ def test_wedge_filter_passes_open_wedges(monkeypatch):
 def test_wedge_filter_skips_graphs_with_few_pairs(monkeypatch):
     calls = spy_on_the_filter(monkeypatch)
     seen = []
-    for n, m in ((100, 300), (200, 800)):  # 348 and 1,453 prefix pairs
+    for n, m in ((200, 800), (500, 2500)):  # 1,453 and 6,043 prefix pairs
         adj = ordered(build_graph(g_n_m(n, m, 3)))
         pairs = int((adj.prefix_len * (adj.prefix_len - 1) // 2).sum())
         calls.clear()
