@@ -69,7 +69,7 @@ def tc_from_triangles(g, stats, neighborhood=None, adj=None, marks=None, method=
     x = 3·(A·tri) + tri - 2·(Ť·tri) is exact; it is divided once, by
     3·tri(G). The (adj, marks) that make the pairs are accepted in place of
     them for outside callers (today the traced path of
-    ``perfbench/child.py``) until ROADMAP item 2 retires that path.
+    ``perfbench/child.py``) until ROADMAP item 1 retires that path.
     """
     tri = stats.per_vertex
     if stats.total == 0:

@@ -54,7 +54,7 @@ class TriangleStats:
 @dataclass
 class MergeTally:
     """Merge-kernel work: filled by :func:`triangle_neighbor` when passed
-    in, and by the PRAM route (``parallel_triangle_centrality``) from
+    in, and by :func:`count_triangles` (the PRAM route's detect) from
     :func:`merge_comparison_count` without running the merge."""
 
     merge_comparisons: int = 0
@@ -128,17 +128,17 @@ def _prefix_search(adj):
     def bound(x, needle):
         pos = poff[x]
         for s, view in ahead:
-            # in place, pos stays int64 under numpy 1.x and 2.x promotion alike;
-            # np.add(..., where=) took four times as long
+            # in place, so pos stays int64; np.add(..., where=) took four times as long
             pos += (view[pos] < needle) * s
         return pos
 
     return keys, bound
 
 
-def merge_comparison_count(adj, total):
+def merge_comparison_count(adj, total, search=None):
     """The comparisons of :func:`_merge_counts` on ``adj``, without merging;
-    ``total`` is the graph's triangle count.
+    ``total`` is the graph's triangle count, and ``search`` the
+    :func:`_prefix_search` of ``adj`` if one is at hand.
 
     Take entry e = (v, u) with P(u), u's prefix, non-empty, and let t =
     min(last(v), last(u)) for last(x) the largest id in P(x). The merge of
@@ -153,6 +153,7 @@ def merge_comparison_count(adj, total):
     n, plen, poff = adj.n, adj.prefix_len, adj.prefix_offsets
     e = np.flatnonzero(plen[adj.higher])
     v, u = adj.lower[e], adj.higher[e]
+    del e
     last = np.zeros(n, dtype=np.int64)
     has = plen > 0
     last[has] = adj.higher[poff[1:][has] - 1]
@@ -162,8 +163,8 @@ def merge_comparison_count(adj, total):
     whole = int(np.where(v_ends, plen[v], plen[u]).sum())
     x = np.where(v_ends, u, v)
     t = np.minimum(lv, lu)
-    del e, v, u, lv, lu, v_ends  # so that the search's arrays do not raise the peak
-    _, bound = _prefix_search(adj)
+    del v, u, lv, lu, v_ends  # so that a search built here does not raise the peak
+    _, bound = _prefix_search(adj) if search is None else search
     part = bound(x, x * n + t + 1)
     return whole + int(part.sum()) - int(poff[x].sum()) - total
 
@@ -253,8 +254,6 @@ def _signatures(adj):
     shift &= 63
     # entries run by lower, so each non-empty prefix is one run of the bits
     has = adj.prefix_len > 0
-    # a uint64 array on the left keeps the bits uint64 under numpy 1.x's
-    # value-based casting too, which would shift a uint64 scalar as uint8
     bits = np.ones(adj.m, dtype=np.uint64)
     bits <<= shift
     sig = np.zeros(adj.n, dtype=np.uint64)
@@ -268,14 +267,14 @@ def _wedge_filter(sig, shift, first, second):
     return np.flatnonzero(((sig[first] >> shift[second]) | (sig[second] >> shift[first])) & 1)
 
 
-def wedge_counts(adj):
+def wedge_counts(adj, search=None):
     """Per-entry triangle counts by checking the wedges inside each prefix.
 
     A wedge's closing edge {a, b} is held by the lower-ordered of a and b,
     say x, as an entry of P(x), so its packed key (x * n + other) is looked
-    up by a bisection inside P(x) alone (:func:`_prefix_search`), at most
-    ⌈log₂(L + 1)⌉ gathers for L the longest prefix. The pair loop is
-    :func:`_pair_counts`.
+    up by a bisection inside P(x) alone (:func:`_prefix_search`, built here
+    unless ``search`` gives it), at most ⌈log₂(L + 1)⌉ gathers for L the
+    longest prefix. The pair loop is :func:`_pair_counts`.
 
     Before the search, a one-word Bloom filter of each prefix
     (:func:`_signatures`, :func:`_wedge_filter`) drops most open wedges with a
@@ -288,7 +287,7 @@ def wedge_counts(adj):
     kernel (2-core x86-64) took 8.9 ms, against 11.9 ms without the filter.
     """
     n, rank, higher, plen = adj.n, adj.rank, adj.higher, adj.prefix_len
-    keys, bound = _prefix_search(adj)
+    keys, bound = _prefix_search(adj) if search is None else search
     filtering = int(plen @ (plen - 1)) // 2 >= _FILTER_MIN_PAIRS
     sig, shift = _signatures(adj) if filtering else (None, None)
 
@@ -404,11 +403,19 @@ def _stats_and_marks(adj, counts):
     return stats, counts > 0
 
 
-def count_triangles(adj):
+def count_triangles(adj, tally=None):
     """The production kernel: per-vertex and global counts and the marks from
     the per-entry counts of :func:`wedge_counts`. The stats carry no per-edge
-    counts."""
-    return _stats_and_marks(adj, wedge_counts(adj))
+    counts. A ``tally`` passed in gets the triangles and the comparisons that
+    :func:`triangle_neighbor` would count, from :func:`merge_comparison_count`
+    over the same prefix search."""
+    if tally is None:  # the search is dropped before the stats are made
+        return _stats_and_marks(adj, wedge_counts(adj))
+    search = _prefix_search(adj)
+    stats, marks = _stats_and_marks(adj, wedge_counts(adj, search))
+    tally.merge_comparisons += merge_comparison_count(adj, stats.total, search)
+    tally.triangles += stats.total
+    return stats, marks
 
 
 def triangle_neighbor(adj, tally=None, per_edge=True):

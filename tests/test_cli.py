@@ -11,10 +11,13 @@ import pytest
 
 import tricent
 from test_mapreduce import GOLDEN_ROUNDS
-from tricent.cli import _ROUTES, main
+from tricent.centrality import triangle_centrality
+from tricent.cli import _EMIT_ROWS, _ROUTES, main
+from tricent.compare import rank_vertices
 from tricent.errors import ConsistencyError
 from tricent.generators import GEN_FAMILIES, load_fixture
-from tricent.graph import build_abbreviated_adjacency, degree_order, dump_edge_list
+from tricent.graph import (build_abbreviated_adjacency, degree_order, dump_edge_list,
+                           load_edge_list)
 from tricent.mapreduce import RECORD_LIMIT
 from tricent.triangle import MergeTally, triangle_neighbor
 
@@ -103,6 +106,19 @@ def test_output_determinism(capsys, karate_file):
     first = run(capsys, "compute", karate_file, "--algo", "parallel")
     second = run(capsys, "compute", karate_file, "--algo", "parallel")
     assert first == second
+
+
+def test_tsv_rows_of_several_blocks_are_written_in_rank_order(capsys, tmp_path, bench_gen):
+    # the TSV is formatted and written a block of rows at a time
+    path = tmp_path / "hk.txt"
+    bench_gen.holme_kim(2 * _EMIT_ROWS + 5, 3, 0.5, 2).write(path)
+    code, out, _ = run(capsys, "compute", str(path))
+    assert code == 0
+    g = load_edge_list(str(path))
+    assert g.n == 2 * _EMIT_ROWS + 5
+    cv = triangle_centrality(g)
+    assert out == "".join(f"{g.labels[v]}\t{float(cv.scores[v])!r}\n"
+                          for v in rank_vertices(cv).order.tolist())
 
 
 def test_json_format(capsys, karate_file):

@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 
+from tricent import triangle
 from tricent.centrality import triangle_centrality
 from tricent.generators import clique, load_fixture
 from tricent.parallel import ParallelConfig, parallel_triangle_centrality
@@ -78,3 +79,17 @@ def test_huge_worker_count_starts_no_threads(monkeypatch):
     g = load_fixture("karate")
     cv, _ = parallel_triangle_centrality(g, ParallelConfig(workers=10**6))
     assert np.array_equal(cv.scores, triangle_centrality(g).scores)
+
+
+def test_one_prefix_search_per_call(monkeypatch):
+    # the wedge kernel and the comparison count share the search's key array
+    built = []
+    search = triangle._prefix_search
+    monkeypatch.setattr(triangle, "_prefix_search", lambda adj: built.append(adj) or search(adj))
+    g = load_fixture("dolphins")
+    cv, tally = parallel_triangle_centrality(g)
+    assert len(built) == 1
+    assert np.array_equal(cv.scores, triangle_centrality(g).scores)
+    merged = MergeTally()
+    triangle_neighbor(build_abbreviated_adjacency(g, degree_order(g)), merged)
+    assert tally == merged
