@@ -10,11 +10,12 @@ An edge list is read as bytes into one bytearray padded with spaces
 (``_read_data``), with newlines translated as text mode does; only input that
 is not ASCII is decoded, once, and encoded back. Comment lines are blanked in
 that buffer, and it is tokenized and coded in numpy. When every token is 1
-to 8 ASCII digits (``_code_digits``), each is parsed from one 8-byte word
-(SWAR) and the values are coded with a presence table where they are dense,
-else with one sort; Python creates one object per label. Any other token
-sends the data to the key sort (``_code_tokens``), where Python creates one
-object per distinct token and ``int()``-parses those. ``build_graph`` codes
+to 8 ASCII digits (``digits.code_digits``), each is parsed from one 8-byte word
+(SWAR) and, when their range is below the token count, the values are
+coded with a presence table; Python creates one object per label. Any other
+token, or values spread wider, send the data to the key sort
+(``_code_tokens``), where Python creates one object per distinct token and
+``int()``-parses those. ``build_graph`` codes
 Python labels with a dict; both routes share the CSR step, ``_graph_from_ids``.
 
 Ingest keeps its per-token arrays narrow and short-lived: token starts,
@@ -30,6 +31,7 @@ import sys
 
 import numpy as np
 
+from .digits import code_digits
 from .errors import ConsistencyError, InputError
 
 
@@ -175,83 +177,6 @@ def _token_bounds(data, text, source):
     return starts, length
 
 
-# SWAR lanes of one little-endian 8-byte word (Lemire, "Number parsing at a
-# gigabyte per second", Softw. Pract. Exp. 2021)
-_ASCII_ZEROS = np.uint64(0x3030303030303030)
-_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
-_SIXES = np.uint64(0x0606060606060606)
-# each step joins neighbouring lanes of 1, 2 and 4 digits into one of twice
-# the width: (lanes & mask) * multiplier >> shift
-_JOINS = tuple((np.uint64(mask), np.uint64(mul), np.uint64(shift)) for mask, mul, shift in (
-    (0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8),
-    (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),
-    (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32)))
-# in the word that ends with the last byte of a token of L bytes,
-# _TOKEN_BYTES[L] masks the token's bytes and _ZERO_FILL[L] writes "0" before it
-_BEFORE = np.array([(1 << 8 * (8 - length)) - 1 for length in range(9)], dtype=np.uint64)
-_TOKEN_BYTES, _ZERO_FILL = ~_BEFORE, _BEFORE & _ASCII_ZEROS
-
-
-def _code_digits(data, starts, length):
-    """``(labels, ids)`` as ``_code_text`` gives them, when every token of
-    padded edge-list data is 1 to 8 ASCII digits; else None.
-
-    Each token is read as the little-endian 8-byte word that ends with its
-    last byte, the bytes before the token are made "0", and the word is
-    checked and parsed as eight digits at once (SWAR). ``int()`` gives the
-    same value for each such token, leading zeros and all. Values whose
-    range is below the token count are coded by a presence table, others by
-    one sort; the ids are the width of ``starts``.
-    """
-    tokens = starts.shape[0]
-    if not tokens or length.max() > 8 or not 0x30 <= data[starts[0]] <= 0x39:
-        return None
-    index = starts.dtype
-    at = starts + length
-    at -= 8  # the first byte of the word that ends with the token's last byte
-    # the first few words would start before byte 0: they are read at 0 and
-    # shifted up by the bytes missing, so that the token ends the word again;
-    # the count is uint64, as uint64 << int32 arrays promote to float64
-    early = int(np.searchsorted(at, 0))
-    missing = (at[:early] * -8).astype(np.uint64)
-    at[:early] = 0
-    little = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    words = little[at].astype(np.uint64, copy=False)
-    del at
-    words[:early] <<= missing
-    # take() from a small table is about twice as fast as indexing it
-    words &= _TOKEN_BYTES.take(length)
-    words |= _ZERO_FILL.take(length)
-    # every byte is 0x30-0x3f, and stays below 0x40 with 6 added: "0"-"9"
-    if not ((words & _HIGH_NIBBLES) == _ASCII_ZEROS).all():
-        return None
-    if not (((words + _SIXES) & _HIGH_NIBBLES) == _ASCII_ZEROS).all():
-        return None
-    for mask, multiplier, shift in _JOINS:
-        words &= mask
-        words *= multiplier
-        words >>= shift
-    values = words.view(np.int64)  # below 10**8
-    low, high = int(values.min()), int(values.max())
-    if high - low < tokens:
-        values -= low
-        present = np.zeros(high - low + 1, dtype=bool)
-        present[values] = True
-        ids = np.cumsum(present, dtype=index)[values]
-        labels = np.flatnonzero(present)
-        labels += low
-    else:
-        order = np.argsort(values)
-        values = values[order]
-        first = _changes(values, -1)
-        ids = np.empty(tokens, dtype=index)
-        ids[order] = np.cumsum(first, dtype=index)
-        del order
-        labels = values[first]
-    ids -= 1
-    return tuple(labels.tolist()), ids
-
-
 def _code_tokens(data, starts, length):
     """Sorted distinct tokens of padded edge-list data and each token's
     index among them, in data order, from the bounds of ``_token_bounds``.
@@ -316,7 +241,7 @@ def _code_text(data, text, source):
     otherwise.
     """
     starts, length = _token_bounds(data, text, source)
-    coded = _code_digits(data, starts, length)
+    coded = code_digits(data, starts, length)
     if coded is not None:
         return coded
     distinct, ids = _code_tokens(data, starts, length)

@@ -163,7 +163,7 @@ def merge_comparison_count(adj, total, search=None):
     whole = int(np.where(v_ends, plen[v], plen[u]).sum())
     x = np.where(v_ends, u, v)
     t = np.minimum(lv, lu)
-    del v, u, lv, lu, v_ends  # so that a search built here does not raise the peak
+    del v, u, lv, lu, v_ends
     _, bound = _prefix_search(adj) if search is None else search
     part = bound(x, x * n + t + 1)
     return whole + int(part.sum()) - int(poff[x].sum()) - total

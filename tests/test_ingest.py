@@ -23,8 +23,9 @@ from tricent.centrality import triangle_centrality
 from tricent.cli import main
 from tricent.errors import ConsistencyError, InputError
 from tricent.generators import FIXTURES, load_fixture
-from tricent.graph import (_code_digits, _raise_bad_line, _read_data, _token_bounds,
-                           build_graph, load_edge_list, parse_edge_list)
+from tricent.digits import code_digits
+from tricent.graph import (_raise_bad_line, _read_data, _token_bounds, build_graph,
+                           load_edge_list, parse_edge_list)
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "tricent" / "fixtures"
 
@@ -287,7 +288,7 @@ def digits_path(text):
     """What the digits path makes of an edge-list text: ``(labels, ids)``,
     or None where it leaves the text to the key sort."""
     data, spaced = _read_data(io.StringIO(text), "<stream>")
-    return _code_digits(data, *_token_bounds(data, spaced, "<stream>"))
+    return code_digits(data, *_token_bounds(data, spaced, "<stream>"))
 
 
 @st.composite
@@ -319,7 +320,11 @@ def test_digit_labels_load_as_reference(text):
     tokens = [t for line in read.split("\n") if not line.lstrip().startswith("#")
               for t in line.split()]
     # the digits path takes the text iff every token has at most 8 digits
-    assert (digits_path(text) is not None) == (bool(tokens) and max(map(len, tokens)) <= 8)
+    # and the values span fewer integers than there are tokens
+    values = list(map(int, tokens))
+    taken = (bool(tokens) and max(map(len, tokens)) <= 8
+             and max(values) - min(values) < len(values))
+    assert (digits_path(text) is not None) == taken
     assert_loads_as_reference(read)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "edges.txt")
@@ -330,7 +335,7 @@ def test_digit_labels_load_as_reference(text):
 
 def test_digit_tokens_whose_word_starts_before_the_data():
     # the words of the first tokens would start before byte 0
-    for text in ("1 2\n", "1 2\n2 3\n3 1\n", "12 3\n3 456\n", "1234567 8\n", " 1 2\n"):
+    for text in ("1 2\n", "1 2\n2 3\n3 1\n", "12 13\n13 11\n", "1234567 1234568\n", " 1 2\n"):
         labels, _ = digits_path(text)
         assert labels == reference_load(text)[0]
         assert_loads_as_reference(text)
@@ -339,10 +344,15 @@ def test_digit_tokens_whose_word_starts_before_the_data():
 
 
 def test_digit_tokens_of_eight_digits_and_past_them():
+    assert digits_path("00000000 1\n00000002 0\n")[0] == (0, 1, 2)
+    assert digits_path("99999999 99999998\n99999997 99999999\n")[0] == (
+        99_999_997, 99_999_998, 99_999_999)
+    # values too spread for the presence table, then a ninth digit, leave the
+    # text to the key sort, with the same labels
     text = "00000000 99999999\n99999999 5\n"
-    assert digits_path(text)[0] == (0, 5, 99_999_999)
+    assert digits_path(text) is None
+    assert load_edge_list(io.StringIO(text)).labels == (0, 5, 99_999_999)
     assert_loads_as_reference(text)
-    # a ninth digit leaves the text to the key sort, with the same labels
     text += "123456789 00000000\n"
     assert digits_path(text) is None
     assert load_edge_list(io.StringIO(text)).labels == (0, 5, 99_999_999, 123_456_789)
@@ -366,8 +376,8 @@ def test_tokens_that_are_not_ascii_digits_take_the_key_sort(token):
 
 @pytest.mark.parametrize("span", [-1, 0, 1])
 def test_digit_values_on_each_side_of_the_dense_range(span):
-    # a presence table when the values span fewer values than there are
-    # tokens, one sort otherwise; both code as the reference does
+    # a presence table when the values span fewer integers than there are
+    # tokens, the key sort otherwise; both code as the reference does
     rng = random.Random(15)
     tokens = 200
     low = 4_000_000
@@ -375,7 +385,11 @@ def test_digit_values_on_each_side_of_the_dense_range(span):
                                           for _ in range(tokens - 2)]
     rng.shuffle(values)
     text = "".join(f"{a} {b}\n" for a, b in zip(values[0::2], values[1::2]))
-    assert digits_path(text)[0] == tuple(sorted(set(values)))
+    coded = digits_path(text)
+    if span < 0:
+        assert coded[0] == tuple(sorted(set(values)))
+    else:
+        assert coded is None
     assert_loads_as_reference(text)
 
 
