@@ -25,6 +25,7 @@ import numpy as np
 from .algebraic import triangle_centrality_algebraic
 from .centrality import triangle_centrality, triangle_centrality_basic
 from .compare import EXACT_PATH_LIMIT, compute_all, rank_vertices, top_k_jaccard
+from .digits import decimal_rows
 from .errors import ConsistencyError, InputError
 from .generators import GEN_FAMILIES, generate_fixture
 from .graph import dump_edge_list, load_edge_list
@@ -77,10 +78,20 @@ def _build_parser():
 _JSON_ROW = '    {{\n      "vertex": {},\n      "score": {},\n      "rank": {}\n    }}'
 
 
-# TSV rows looked up, formatted and written at a time: joined as one string,
-# the output of tc compute on a 20k-vertex Holme-Kim graph took 2.7 MB traced
-# and set the run's peak RSS, 44.3 MB against 42.7 MB in blocks of 1,024
-_EMIT_ROWS = 1 << 10
+# TSV rows looked up, formatted and written at a time. Written whole, the
+# output of tc compute on a 20k-vertex Holme-Kim graph set the run's peak RSS.
+# In blocks of 2**10 to 2**14 rows, the run peaked at 41.2 MB (VmHWM) with
+# integer labels in numpy, and the dirty G(n, m) at 49.1 MB, set by ingest,
+# with string labels joined; 2**12 rows wrote the 20k rows in 3.7 ms, 2**10
+# in 4.1 (2-core x86-64)
+_EMIT_ROWS = 1 << 12
+# graphs with fewer vertices join their int64 labels too: up to about 300
+# rows, a block's numpy calls cost more than the join (join against numpy,
+# warm, Holme-Kim graphs: 139 against 142 us at n = 200, 217 against 193 at
+# 400, 367 against 285 at 800), and the join pages in no numpy code (with
+# numpy rows, the benchmark's 200 small-batch graphs of 30 to 300 vertices
+# peaked 0.15 MB higher)
+_NUMPY_ROWS_FROM = 1 << 9
 
 
 def _emit_scores(g, cv, ranking, fmt, out):
@@ -102,17 +113,32 @@ def _emit_scores(g, cv, ranking, fmt, out):
                   f'  "triangle_total": {json.dumps(cv.tri_total)},\n'
                   f'  "triangle_free": {json.dumps(cv.triangle_free)},\n'
                   f'  "scores": {listing}\n}}\n')
-    else:
+    elif g.label_array is None or g.n < _NUMPY_ROWS_FROM:
         # label, then the shared tail of its score, interleaved into one join
-        # per block of rows
+        # per block of rows; int64 labels are read from their array, so the
+        # labels tuple is not built
         tails = [f"\t{score}\n" for score in text]
-        label = g.labels.__getitem__
         for lo in range(0, g.n, _EMIT_ROWS):
-            block = ranking.order[lo:lo + _EMIT_ROWS].tolist()
-            words = [""] * (2 * len(block))
-            words[0::2] = map(str, map(label, block))
+            block = ranking.order[lo:lo + _EMIT_ROWS]
+            if g.label_array is None:
+                labels = map(g.labels.__getitem__, block.tolist())
+            else:
+                labels = g.label_array[block].tolist()
+            words = [""] * (2 * block.shape[0])
+            words[0::2] = map(str, labels)
             words[1::2] = map(tails.__getitem__, inverse[lo:lo + _EMIT_ROWS].tolist())
             out.write("".join(words))
+    else:
+        # int64 labels, no Python object per row: per block, a byte matrix of
+        # each label's decimal text (NUL before it) and its score's tail (NUL
+        # after it), written without the NULs
+        tails = np.array([f"\t{score}\n".encode() for score in text])
+        tails = tails.view(np.uint8).reshape(len(text), -1)
+        for lo in range(0, g.n, _EMIT_ROWS):
+            labels = g.label_array[ranking.order[lo:lo + _EMIT_ROWS]]
+            rows = np.concatenate((decimal_rows(labels), tails[inverse[lo:lo + _EMIT_ROWS]]),
+                                  axis=1).ravel()
+            out.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
 # --algo name -> route: Graph -> (scores, the route's work tally or None)
@@ -148,7 +174,9 @@ def _peak_rss_mb():
         pass
     import resource  # here, not at start-up: only a written record reads it
 
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    # ru_maxrss is in bytes on macOS, in KiB elsewhere
+    unit = 1 << 20 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
 
 def _write_record(record, out):

@@ -177,7 +177,13 @@ def rank_vertices(cv):
     """Deterministic ranking of a CentralityVector."""
     scores = cv.scores
     n = scores.shape[0]
-    order = np.argsort(-scores, kind="stable")
+    # descending score order: an int64 argsort of the float bits mapped to
+    # integers of the same order (-0.0 just below +0.0). The argsort need not
+    # be stable: equal scores, and the two zeros, share a tie group, which
+    # the second sort orders by id
+    bits = scores.astype(np.float64).view(np.int64)
+    bits ^= (bits >> 63) & np.int64(2 ** 63 - 1)
+    order = np.argsort(~bits)
     ranked = scores[order]
     # a vertex opens a new tie group unless its score is within relative eps
     # of the previous vertex's in rank order
@@ -188,9 +194,12 @@ def rank_vertices(cv):
     group = np.cumsum(opens) - 1
     rank = np.empty(n, dtype=np.int64)
     rank[order] = starts[group] + 1
-    # each tie group by label: the key is already sorted outside tie groups,
-    # and numpy's stable sort, which merges sorted runs, is near linear on it
-    order = order[np.argsort(group * n + order, kind="stable")]
+    # each tie group by label: the keys group * n + id are distinct and
+    # ``group`` is sorted, so sorting them sorts ids inside each group
+    group *= n
+    order += group
+    order.sort()
+    order -= group
     return Ranking(order=order, rank=rank)
 
 

@@ -1,9 +1,11 @@
-"""Integer labels parsed and coded straight from the bytes of an edge list.
+"""Integer labels parsed from the bytes of an edge list, and written back
+as decimal bytes, in numpy.
 
 ``code_digits`` takes the padded data and token bounds that
 ``graph._token_bounds`` gives and codes them when every token is 1 to 8
 ASCII digits whose values span fewer integers than there are tokens;
-``graph`` sends any other input to its key sort. Kept apart from
+``graph`` sends any other input to its key sort. ``decimal_rows`` writes
+int64 labels as text for the TSV output. Kept apart from
 ``graph.py``: compiled from source as part of it, this code raised the peak
 RSS of importing ``tricent`` by 0.17 MB (Python 3.11, x86-64), and so of
 every run, digits or not.
@@ -34,7 +36,8 @@ _ZERO_FILL = np.array([before & 0x3030303030303030 for before in _BEFORE], dtype
 
 def code_digits(data, starts, length):
     """``(labels, ids)`` as ``graph._code_text`` gives them, when every token of
-    padded edge-list data is 1 to 8 ASCII digits; else None.
+    padded edge-list data is 1 to 8 ASCII digits, with the labels as a
+    sorted int64 array; else None.
 
     Each token is read as the little-endian 8-byte word that ends with its
     last byte, the bytes before the token are made "0", and the word is
@@ -81,4 +84,31 @@ def code_digits(data, starts, length):
     ids -= 1
     labels = np.flatnonzero(present)
     labels += low
-    return tuple(labels.tolist()), ids
+    return labels, ids
+
+
+def decimal_rows(values):
+    """The decimal text of each int64 of the non-empty array ``values``, as
+    ``str`` writes it, in a row of a uint8 matrix as wide as the longest
+    text: right-aligned, after NUL bytes.
+
+    The digits come from the right, one column per ``divmod`` by 10 of the
+    magnitudes; the zeros before a row's first nonzero digit (but the units
+    digit) are then made NUL, and a minus sign goes before the digits.
+    """
+    low, high = int(values.min()), int(values.max())
+    width = max(len(str(low)), len(str(high)))
+    digits = len(str(max(-low, high)))
+    rows = np.zeros((values.shape[0], width), dtype=np.uint8)
+    # |v| through uint64, which holds the magnitude 2**63 of int64 min
+    spent = np.abs(values).view(np.uint64)
+    for col in range(width - 1, width - 1 - digits, -1):
+        spent, rows[:, col] = np.divmod(spent, 10)
+    text = np.logical_or.accumulate(rows != 0, axis=1)
+    text[:, -1] = True  # the units digit, "0" included
+    rows += 48
+    rows *= text
+    if low < 0:
+        negative = np.flatnonzero(values < 0)
+        rows[negative, text[negative].argmax(axis=1) - 1] = 45  # "-"
+    return rows

@@ -12,10 +12,11 @@ is not ASCII is decoded, once, and encoded back. Comment lines are blanked in
 that buffer, and it is tokenized and coded in numpy. When every token is 1
 to 8 ASCII digits (``digits.code_digits``), each is parsed from one 8-byte word
 (SWAR) and, when their range is below the token count, the values are
-coded with a presence table; Python creates one object per label. Any other
+coded with a presence table; Python creates no object per label. Any other
 token, or values spread wider, send the data to the key sort
 (``_code_tokens``), where Python creates one object per distinct token and
-``int()``-parses those. ``build_graph`` codes
+``int()``-parses those. Integer labels that fit int64 stay one int64 array
+(``Graph.label_array``) from either route to the output. ``build_graph`` codes
 Python labels with a dict; both routes share the CSR step, ``_graph_from_ids``.
 
 Ingest keeps its per-token arrays narrow and short-lived: token starts,
@@ -36,9 +37,16 @@ from .errors import ConsistencyError, InputError
 
 
 class Graph:
-    """Immutable compressed-adjacency graph. Rows are sorted by internal id."""
+    """Immutable compressed-adjacency graph. Rows are sorted by internal id.
 
-    __slots__ = ("n", "m", "offsets", "neighbors", "degrees", "labels", "_index")
+    ``labels`` is the tuple of labels by id. Integer labels that the byte
+    reader found to fit int64 are held as the sorted int64 array
+    ``label_array`` instead, and the tuple is built from it on first access;
+    ``label_array`` is None for any other labels.
+    """
+
+    __slots__ = ("n", "m", "offsets", "neighbors", "degrees", "label_array", "_labels",
+                 "_index")
 
     def __init__(self, n, m, offsets, neighbors, labels):
         self.n = n
@@ -46,8 +54,17 @@ class Graph:
         self.offsets = offsets
         self.neighbors = neighbors
         self.degrees = np.diff(offsets)
-        self.labels = labels
+        if isinstance(labels, np.ndarray):
+            self.label_array, self._labels = labels, None
+        else:
+            self.label_array, self._labels = None, tuple(labels)
         self._index = None  # label -> id, built on the first id_of call
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            self._labels = tuple(self.label_array.tolist())
+        return self._labels
 
     def neighbors_of(self, v):
         return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
@@ -237,8 +254,8 @@ def _code_text(data, text, source):
 
     Comment lines (first non-blank character ``#``) and blank lines are
     ignored. The labels are ints when ``int()`` accepts every token (tokens
-    of one value, such as ``007`` and ``7``, are one label), and strings
-    otherwise.
+    of one value, such as ``007`` and ``7``, are one label), as a sorted
+    int64 array when they fit it, and strings otherwise.
     """
     starts, length = _token_bounds(data, text, source)
     coded = code_digits(data, starts, length)
@@ -256,16 +273,16 @@ def _code_text(data, text, source):
             np.not_equal(labels[1:], labels[:-1], out=keep[1:])
             labels = labels[keep]
             remap = np.searchsorted(labels, values)
-            labels = labels.tolist()
         except OverflowError:  # a value past int64
             labels, remap = _code_labels(list(map(int, distinct)))
     except ValueError:  # a token that int() rejects: string labels
         return tuple(distinct), ids
-    return tuple(labels), remap.astype(ids.dtype, copy=False)[ids]
+    return labels, remap.astype(ids.dtype, copy=False)[ids]
 
 
 def _graph_from_ids(labels, ids):
-    """Graph from sorted distinct labels and flat endpoint ids of any integer
+    """Graph from sorted distinct labels (a sequence, or an int64 array kept
+    as the Graph's ``label_array``) and flat endpoint ids of any integer
     width. The ids are widened to int64 only in the packed arc keys, since
     ``n * n`` can pass 2**31; the Graph's arrays are int64."""
     n = len(labels)
@@ -286,7 +303,13 @@ def _graph_from_ids(labels, ids):
     rows, neighbors = np.divmod(arcs, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    return Graph(n, arcs.shape[0] // 2, offsets, neighbors, tuple(labels))
+    if isinstance(labels, np.ndarray):
+        # made while ingest's temporaries filled the heap, the kept labels
+        # would split the space those free, and the route's largest arrays
+        # would grow the heap instead (+7.7 MB of peak RSS at n = 10**5,
+        # glibc); copied now, they sit beside the graph's other arrays
+        labels = labels.copy()
+    return Graph(n, arcs.shape[0] // 2, offsets, neighbors, labels)
 
 
 def build_graph(edge_list):

@@ -6,12 +6,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import tricent
 from test_mapreduce import GOLDEN_ROUNDS
 from tricent.centrality import triangle_centrality
+from tricent import cli
 from tricent.cli import _EMIT_ROWS, _ROUTES, main
 from tricent.compare import rank_vertices
 from tricent.errors import ConsistencyError
@@ -420,6 +422,20 @@ def test_stats_peak_rss_is_the_childs_own(karate_file):
     assert len(ballast) == 64 << 20  # held until the child has exited
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr)["peak_rss_mb"] < parent - 32
+
+
+@pytest.mark.parametrize("platform, maxrss", [("linux", 51_200), ("darwin", 50 << 20)])
+def test_peak_rss_without_proc_reads_ru_maxrss_in_its_unit(monkeypatch, platform, maxrss):
+    # with no /proc, the peak is ru_maxrss: KiB on Linux, bytes on macOS
+    import resource
+
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError(args[0])
+
+    monkeypatch.setattr("tricent.cli.open", no_proc, raising=False)
+    monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss))
+    monkeypatch.setattr("sys.platform", platform)
+    assert cli._peak_rss_mb() == 50.0
 
 
 def test_non_utf8_file_exits_two(capsys, tmp_path):

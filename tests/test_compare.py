@@ -254,18 +254,31 @@ def reference_ranking(scores, eps=1e-9):
 
 
 # near-ties on both sides of the relative eps, exact ties, zeros and signs
-SCORES = st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 1.0 - 9e-10,
-                                   0.5, 0.25, -0.5, 1e-300, 3.0]), max_size=40)
+POOL = [0.0, -0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 1.0 - 9e-10, 0.5, 0.25, -0.5, 1e-300, 3.0]
+SCORES = st.lists(st.sampled_from(POOL), max_size=40)
 
 
-@settings(max_examples=200, deadline=None)
-@given(SCORES)
-def test_rank_vertices_matches_keyed_sort_reference(values):
+def assert_ranks_as_reference(values):
     rk = _ranking(values)
     order, rank, groups = reference_ranking(values)
     assert rk.order.tolist() == order
     assert rk.rank.tolist() == rank
     assert tie_groups(rk) == groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(SCORES)
+def test_rank_vertices_matches_keyed_sort_reference(values):
+    assert_ranks_as_reference(values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1_000, 5_000))
+def test_rank_vertices_matches_keyed_sort_reference_at_size(seed, size):
+    # thousands of scores from the same pool take numpy's sorts past their
+    # small-array paths, where an unstable sort reorders equal keys
+    rng = np.random.default_rng(seed)
+    assert_ranks_as_reference(rng.choice(POOL, size).tolist())
 
 
 def test_karate_tc_rank_one_is_vertex_14():

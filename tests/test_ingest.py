@@ -286,9 +286,10 @@ def test_non_ascii_text_peak_memory_is_bounded(tmp_path):
 
 def digits_path(text):
     """What the digits path makes of an edge-list text: ``(labels, ids)``,
-    or None where it leaves the text to the key sort."""
+    the labels as a tuple, or None where it leaves the text to the key sort."""
     data, spaced = _read_data(io.StringIO(text), "<stream>")
-    return code_digits(data, *_token_bounds(data, spaced, "<stream>"))
+    coded = code_digits(data, *_token_bounds(data, spaced, "<stream>"))
+    return coded and (tuple(coded[0].tolist()), coded[1])
 
 
 @st.composite
