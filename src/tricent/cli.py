@@ -80,10 +80,10 @@ _JSON_ROW = '    {{\n      "vertex": {},\n      "score": {},\n      "rank": {}\n
 
 # TSV rows looked up, formatted and written at a time. Written whole, the
 # output of tc compute on a 20k-vertex Holme-Kim graph set the run's peak RSS.
-# In blocks of 2**10 to 2**14 rows, the run peaked at 41.2 MB (VmHWM) with
-# integer labels in numpy, and the dirty G(n, m) at 49.1 MB, set by ingest,
-# with string labels joined; 2**12 rows wrote the 20k rows in 3.7 ms, 2**10
-# in 4.1 (2-core x86-64)
+# In blocks of 2**10, 2**12 or 2**14 rows, the run peaked at 41.07, 41.04 and
+# 41.02 MB (VmHWM, median of 5) with integer labels in numpy, and the dirty
+# G(n, m) at 49.15, 49.20 and 49.19 MB, set by ingest, with string labels
+# joined; 2**12 rows wrote the 20k rows in 3.7 ms, 2**10 in 4.1 (2-core x86-64)
 _EMIT_ROWS = 1 << 12
 # graphs with fewer vertices join their int64 labels too: up to about 300
 # rows, a block's numpy calls cost more than the join (join against numpy,
