@@ -80,8 +80,9 @@ class Graph:
     def _edge_ends(self):
         """Arrays ``(u, v)`` of every undirected edge once, u < v, by (u, v)."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        upper = rows < self.neighbors
-        return rows[upper], self.neighbors[upper]
+        # half of the arcs: one index taken twice, not a mask applied twice
+        upper = np.flatnonzero(rows < self.neighbors)
+        return rows.take(upper), self.neighbors.take(upper)
 
     def edges(self):
         """Each undirected edge once as an (u, v) internal-id pair, u < v."""
@@ -226,6 +227,7 @@ def _code_tokens(data, starts, length):
     if b"\0" in data:
         keys.append(length)
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    order = order.astype(index, copy=False)  # held through every gather below
     first = np.zeros(order.shape[0], dtype=bool)  # first of a distinct token, sorted
     first[0] = True
     while keys:
@@ -287,7 +289,7 @@ def _graph_from_ids(labels, ids):
     ``n * n`` can pass 2**31; the Graph's arrays are int64."""
     n = len(labels)
     a, b = ids[0::2], ids[1::2]
-    keep = a != b
+    keep = a != b  # a dense mask: self-loops are few, and a mask beats an index there
     a, b = a[keep], b[keep]
     # both orientations of every edge as packed (row, neighbor) keys, sorted
     # in place (rows by id, each row by neighbor id) and without duplicates;
@@ -299,7 +301,12 @@ def _graph_from_ids(labels, ids):
     arcs[half:] += a
     del a, b
     arcs.sort()
-    arcs = arcs[_changes(arcs, -1)]
+    first = _changes(arcs, -1)
+    if not first.all():  # an edge list with one line per edge repeats no arc
+        # listed both ways, about half of the arcs repeat; at that density
+        # compress is several times as fast as a mask
+        arcs = arcs.compress(first)
+    del first
     rows, neighbors = np.divmod(arcs, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
@@ -431,13 +438,33 @@ def row_lists(flat, offsets):
     return [flat[a:b] for a, b in zip(offsets, offsets[1:])]
 
 
+def radix_order(keys):
+    """Stable argsort of non-negative integer keys (any integer dtype), in
+    O(len(keys)) per 16 bits of the largest key.
+
+    numpy sorts keys of 16 bits or fewer stably by an LSD radix sort, so the
+    keys are sorted one 16-bit digit at a time, lowest first; each stable
+    pass keeps the order of the digits below it. A degree or a bucket id
+    below 2**32 takes at most two passes.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # the low digit: astype wraps
+    for shift in range(16, int(keys.max(initial=0)).bit_length(), 16):
+        digit = keys[order]
+        digit >>= shift
+        order = order[np.argsort(digit.astype(np.uint16), kind="stable")]
+    return order
+
+
 def degree_order(g):
     """Degree ordering as an int64 rank array: ``rank[v]`` is v's position
-    in the order by ascending (degree, label); deterministic."""
-    # internal ids are already in label-sorted order, so a stable sort on
-    # degree alone realizes the (degree, label) tiebreak
+    in the order by ascending (degree, label); deterministic.
+
+    Internal ids are already in label-sorted order, so a stable sort on
+    degree alone realizes the (degree, label) tiebreak. The sort is
+    :func:`radix_order`'s, O(n) for any degree below 2**32.
+    """
     rank = np.empty(g.n, dtype=np.int64)
-    rank[np.argsort(g.degrees, kind="stable")] = np.arange(g.n, dtype=np.int64)
+    rank[radix_order(g.degrees)] = np.arange(g.n, dtype=np.int64)
     return rank
 
 
@@ -470,10 +497,16 @@ def build_abbreviated_adjacency(g, rank):
 
     The graph's arcs (v, u) run by v and each row ascends by id, so the arcs
     with u ranked above v are exactly the packed prefixes, in entry order.
+    They are m of the 2m arcs, so they are selected by one index of them,
+    taken from both arc arrays: at that density a boolean mask is several
+    times as slow. Each arc's row rank is repeated from ``rank``, not
+    gathered, and the rows are made after the test: the step's traced peak
+    is about 36 bytes an edge (52 with masks over gathered rows). O(n + m)
+    with :func:`degree_order`.
     """
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    up = rank[g.neighbors] > rank[src]
-    return OrderedAdjacency(g, src[up], g.neighbors[up], rank)
+    up = np.flatnonzero(rank[g.neighbors] > np.repeat(rank, g.degrees))
+    lower = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees).take(up)
+    return OrderedAdjacency(g, lower, g.neighbors.take(up), rank)
 
 
 def ordered_adjacency(g):

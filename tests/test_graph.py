@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricent.errors import InputError
 from tricent.generators import load_fixture
-from tricent.graph import (build_abbreviated_adjacency, build_graph,
+from tricent.graph import (OrderedAdjacency, build_abbreviated_adjacency, build_graph,
                            degree_order, dump_edge_list, load_edge_list,
-                           parse_edge_list)
+                           ordered_adjacency, parse_edge_list, radix_order)
+from tricent.triangle import _hash_buckets, _hash_find, _hash_table
 
 
 def prefix(adj, v):
@@ -105,6 +108,77 @@ def test_degree_order_ties_by_label():
 def test_degree_order_path():
     g = build_graph([(1, 2), (2, 3)])
     assert [g.labels[v] for v in np.argsort(degree_order(g))] == [1, 3, 2]
+
+
+def reference_rank(g):
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[np.argsort(g.degrees, kind="stable")] = np.arange(g.n)
+    return rank
+
+
+def assert_order_as_reference(g):
+    """degree_order and ordered_adjacency equal a stable argsort of the
+    degrees and an orientation by boolean masks, array for array."""
+    rank = degree_order(g)
+    assert rank.dtype == np.int64
+    assert np.array_equal(rank, reference_rank(g))
+    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    up = rank[g.neighbors] > rank[src]
+    want = OrderedAdjacency(g, src[up], g.neighbors[up], rank)
+    adj = ordered_adjacency(g)
+    assert (adj.n, adj.m) == (want.n, want.m)
+    for name in ("lower", "higher", "prefix_len", "prefix_offsets", "rank"):
+        got, ref = getattr(adj, name), getattr(want, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 32 - 1), max_size=300), st.integers(0, 31))
+def test_radix_order_is_a_stable_argsort(values, shift):
+    # keys of every width up to 32 bits, with many ties once shifted down
+    keys = np.array(values, dtype=np.int64) >> shift
+    assert np.array_equal(radix_order(keys), np.argsort(keys, kind="stable"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=200))
+def test_degree_order_matches_stable_argsort(pairs):
+    # self-loops leave isolated vertices, an empty list the empty graph
+    assert_order_as_reference(build_graph(pairs))
+
+
+def test_order_matches_reference_on_suite(random_suite_200):
+    for g in random_suite_200 + [build_graph([]), build_graph([(1, 1), (2, 2)]),
+                                 build_graph([(1, 2), (3, 3), (0, 4)])]:
+        assert_order_as_reference(g)
+
+
+def test_order_of_a_star_past_16_bit_degrees():
+    # the hub's degree, 65,537, takes the radix sort's high-half pass
+    leaves = 1 << 16 | 1
+    g = load_edge_list(io.StringIO("".join(f"0 {v}\n" for v in range(1, leaves + 1))))
+    assert g.degrees.max() == leaves
+    assert_order_as_reference(g)
+    rank = degree_order(g)
+    assert rank[0] == leaves and np.array_equal(rank[1:], np.arange(leaves))
+
+
+def test_hash_table_groups_keys_past_16_bucket_bits():
+    # 70,000 keys take 17 bucket bits, so the grouping takes two radix passes
+    rng = np.random.default_rng(3)
+    keys = rng.choice(1 << 40, size=70_000, replace=False).astype(np.int64)
+    shift, starts, table_keys, order = _hash_table(keys)
+    assert int(shift) == 64 - 17
+    buckets = {}
+    for key, h in zip(keys.tolist(), _hash_buckets(keys, shift).tolist()):
+        buckets.setdefault(h, set()).add(key)
+    assert np.array_equal(table_keys, keys[order])
+    lo, hi = starts[:-1].tolist(), starts[1:].tolist()
+    held = {h: set(table_keys[lo[h]:hi[h]].tolist()) for h in range(len(lo)) if hi[h] > lo[h]}
+    assert held == buckets
+    assert np.array_equal(_hash_find((shift, starts, table_keys, order), keys),
+                          np.arange(keys.shape[0]))
 
 
 def test_abbreviated_adjacency_star_and_triangle():
