@@ -7,10 +7,10 @@ are dense 0-based ids assigned in sorted label order, so label order and
 internal id order always agree.
 
 An edge list is read as bytes into one bytearray padded with spaces
-(``_read_data``), with newlines translated as text mode does; only input that
-is not ASCII is decoded, once, and encoded back. Comment lines are blanked in
-that buffer, and it is tokenized and coded in numpy. When every token is 1
-to 8 ASCII digits (``digits.code_digits``), each is parsed from one 8-byte word
+(``_read_data``), with newlines translated as text mode does; input that is
+not ASCII is only checked to be UTF-8. Comment lines are blanked in that
+buffer, and it is tokenized and coded in numpy. When every token is 1 to 8
+ASCII digits (``digits.code_digits``), each is parsed from one 8-byte word
 (SWAR) and, when their range is below the token count, the values are
 coded with a presence table; Python creates no object per label. Any other
 token, or values spread wider, send the data to the key sort
@@ -93,12 +93,20 @@ class Graph:
 
 
 # str.split()'s ASCII whitespace is \t \n \v \f \r, \x1c-\x1f and the space.
-# Once any non-ASCII whitespace is replaced by a space, a byte of the UTF-8
-# text is in a token iff this table maps it to 1.
+# In a copy of the UTF-8 with each wide space below made as many spaces as it
+# has bytes, a byte is in a token iff this table maps it to 1.
 _IN_TOKEN = bytes(0 if b in b"\t\n\v\f\r\x1c\x1d\x1e\x1f " else 1 for b in range(256))
-# a line of that whitespace but the newline, then "#"; a bytes \s lacks \x1c-\x1f
-_COMMENT = re.compile(rb"^[\t\v\f\r\x1c-\x1f ]*+#.*", re.MULTILINE)
-_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
+# The UTF-8 of the 19 non-ASCII characters that str.isspace() accepts, 2 or 3
+# bytes each. Their lead bytes (C2, E1-E3) are never inside a character of valid
+# UTF-8 or of surrogatepass output, so each match of them is one character.
+_WIDE_SPACES = tuple(chr(c).encode() for c in (0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+                                               0x2028, 0x2029, 0x202F, 0x205F, 0x3000))
+_WIDE_SUBS = [(re.compile(b"|".join(s for s in _WIDE_SPACES if len(s) == k)), b" " * k)
+              for k in (2, 3)]  # a pattern per width, not a Python call per match
+# a line of that whitespace (wide spaces too) but the newline, then "#" (a bytes \s lacks
+# \x1c-\x1f); the lookahead turns most lines away at their first byte
+_COMMENT = re.compile(rb"^(?=[\t\v\f\r\x1c-\x1f #\xc2\xe1-\xe3])(?:[\t\v\f\r\x1c-\x1f ]|"
+                      + b"|".join(_WIDE_SPACES) + rb")*+#.*", re.MULTILINE)
 # tokens longer than this many 8-byte words are coded in Python instead:
 # the key matrix holds that many words for every token
 _MAX_KEY_WORDS = 8
@@ -124,12 +132,12 @@ def _changes(a, before):
     return out
 
 
-def _raise_bad_line(text, source):
-    """Raise InputError for the first line that is neither blank nor two
-    tokens, skipping comment lines. Every caller has found tokens that do
-    not pair up by line, so finding no such line is an internal fault:
-    ConsistencyError."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
+def _raise_bad_line(data, source):
+    """Raise InputError for the first line of the UTF-8 ``data`` that is
+    neither blank nor two tokens, skipping comment lines. Every caller has
+    found tokens that do not pair up by line, so finding no such line is an
+    internal fault: ConsistencyError."""
+    for lineno, line in enumerate(data.decode("utf-8", "surrogatepass").split("\n"), start=1):
         tokens = line.split()
         if tokens and len(tokens) != 2 and not tokens[0].startswith("#"):
             raise InputError(f"{source}:{lineno}: expected two tokens, "
@@ -168,22 +176,27 @@ def _pairs_by_line(raw, starts, length):
     return not newline[0::2].any() and newline[1:-1:2].all()
 
 
-def _token_bounds(data, text, source):
-    """Starts and lengths of the tokens of padded edge-list data (see
-    ``_read_data`` for ``text``), checked to pair up by line: InputError
-    naming the first line that does not. Comment lines (first non-blank
-    character ``#``) are blanked in ``data`` first, keeping line numbers.
+def _token_bounds(data, source):
+    """Starts and lengths of the tokens of padded edge-list data, checked
+    to pair up by line: InputError naming the first line that does not.
+    Comment lines (first non-blank character ``#``) are blanked in ``data``
+    first, keeping line numbers; wide spaces are spaces in a copy only.
 
     Both arrays are int32, or int64 when the padded bytes reach 2**31.
     """
     if b"#" in data:
-        # written back into ``data``, so that the text is held once
+        # written back into ``data``, so that the bytes are held once
         body = len(data) - len(_PADDING)
         data[:body] = _COMMENT.sub(b"", memoryview(data)[:body])
     index = _index_dtype(len(data))
     # tokens start and end where the in-token flag flips (from out of token
     # before byte 0), so the flips alternate start, end, start, end, ...
-    flips = _changes(np.frombuffer(data.translate(_IN_TOKEN), dtype=bool), False)
+    spaced = data
+    if not data.isascii():
+        for wide, spaces in _WIDE_SUBS:
+            spaced = wide.sub(spaces, spaced)
+    flips = _changes(np.frombuffer(spaced.translate(_IN_TOKEN), dtype=bool), False)
+    del spaced
     bounds = np.flatnonzero(flips)
     del flips
     starts = bounds[0::2].astype(index)
@@ -191,7 +204,7 @@ def _token_bounds(data, text, source):
     del bounds
     length -= starts
     if not _pairs_by_line(np.frombuffer(data, dtype=np.uint8), starts, length):
-        _raise_bad_line(text or data.decode("utf-8", "surrogatepass"), source)
+        _raise_bad_line(data, source)
     return starts, length
 
 
@@ -239,27 +252,27 @@ def _code_tokens(data, starts, length):
     ids -= 1
     at = order[first]
     del order, first
-    # the distinct tokens, each with the whitespace byte after it, in one decode:
-    # the byte index climbs by one inside a token and jumps to the next start
-    size = length[at] + 1
-    step = np.ones(size.sum(), dtype=np.int64)
+    # the distinct tokens, each with the byte after it, in one decode: the
+    # byte index climbs by one inside a token and jumps to the next start
+    ends = np.cumsum(length[at] + 1)
+    step = np.ones(ends[-1], dtype=np.int64)
     step[0] = starts[at[0]]
-    step[np.cumsum(size[:-1])] = starts[at[1:]] - starts[at[:-1]] - length[at[:-1]]
-    distinct = raw[np.cumsum(step)].tobytes().decode("utf-8", "surrogatepass")
-    return distinct.split(), ids
+    step[ends[:-1]] = starts[at[1:]] - starts[at[:-1]] - length[at[:-1]]
+    chars = raw[np.cumsum(step)]
+    chars[ends - 1] = 32  # a space: the byte after a token may open a wide space
+    return chars.tobytes().decode("utf-8", "surrogatepass").split(), ids
 
 
-def _code_text(data, text, source):
-    """Labels and endpoint ids of padded edge-list data and its text (see
-    ``_read_data``): ``(labels, ids)``, with ``ids`` flat as
-    ``[a1, b1, a2, b2, ...]``.
+def _code_text(data, source):
+    """Labels and endpoint ids of padded edge-list data (see ``_read_data``):
+    ``(labels, ids)``, with ``ids`` flat as ``[a1, b1, a2, b2, ...]``.
 
     Comment lines (first non-blank character ``#``) and blank lines are
     ignored. The labels are ints when ``int()`` accepts every token (tokens
     of one value, such as ``007`` and ``7``, are one label), as a sorted
     int64 array when they fit it, and strings otherwise.
     """
-    starts, length = _token_bounds(data, text, source)
+    starts, length = _token_bounds(data, source)
     coded = code_digits(data, starts, length)
     if coded is not None:
         return coded
@@ -338,7 +351,7 @@ def parse_edge_list(fh, source="<input>"):
     used as int labels when every token in the input is integral; otherwise
     all labels stay strings.
     """
-    labels, ids = _code_text(*_read_data(fh, source), source)
+    labels, ids = _code_text(_read_data(fh, source), source)
     ends = np.array(labels, dtype=object)[ids]
     return list(zip(ends[0::2].tolist(), ends[1::2].tolist()))
 
@@ -356,52 +369,40 @@ def _read_padded(fh):
     return data
 
 
-def _utf8(text):
-    """``(data, text)``: the padded UTF-8 of an edge-list text, with one
-    leading byte-order mark (U+FEFF) dropped and any non-ASCII whitespace
-    made a space, and the text without that mark if a space was made, else
-    None; any other byte-order mark stays part of its token."""
-    text = text.removeprefix("\ufeff")
-    spaced, wide = (text, 0) if text.isascii() else _WIDE_SPACE.subn(" ", text)
-    data = bytearray(spaced.encode("utf-8", "surrogatepass"))
-    data += _PADDING
-    return data, text if wide else None
-
-
 def _read_data(path_or_file, source):
-    """``(data, text)`` of a path, '-' for stdin, or an open text or binary
-    file: its UTF-8 in a bytearray followed by ``_PADDING``, and its text
-    where that differs from the data's, for error messages (see ``_utf8``).
+    """The UTF-8 of a path, '-' for stdin, or an open text or binary file, in
+    a bytearray followed by ``_PADDING``, with one leading byte-order mark
+    (U+FEFF) dropped; any other byte-order mark stays part of its token.
 
     Bytes are read as text mode reads them: strictly as UTF-8, else OSError
     naming ``source``, and with ``\\r\\n`` and a lone ``\\r`` made ``\\n``; a
-    text stream has done both itself. Only data that is not ASCII is
-    decoded.
+    text stream has done both itself. Bytes that are not ASCII are only
+    checked: the str made to check them is dropped at once.
     """
     if path_or_file == "-":
         # read as bytes, not by sys.stdin, whose error handler may pass any byte through
         path_or_file = getattr(sys.stdin, "buffer", sys.stdin)
+    checked = False  # a text stream has checked its bytes and translated newlines
     try:
         if not hasattr(path_or_file, "read"):
             with open(path_or_file, "rb") as fh:
                 data = _read_padded(fh)
         else:
             data = path_or_file.read()
-            if isinstance(data, str):
-                return _utf8(data)
-            data = bytearray(data)
+            checked = isinstance(data, str)
+            data = bytearray(data.encode("utf-8", "surrogatepass") if checked else data)
             data += _PADDING
-        if not data.isascii():
-            # decoded before the newlines are translated, so that an error
+        if not checked and not data.isascii():
+            # checked before the newlines are translated, so that an error
             # names the position in the file, as text mode does
-            text = str(memoryview(data)[:-len(_PADDING)], "utf-8")
-            del data
-            return _utf8(text.replace("\r\n", "\n").replace("\r", "\n"))
+            str(memoryview(data)[:-len(_PADDING)], "utf-8")
     except UnicodeDecodeError as exc:
         raise OSError(f"{source}: not UTF-8 text: {exc}") from exc
-    if b"\r" in data:
+    if not checked and b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return data, None
+    if data.startswith(b"\xef\xbb\xbf"):
+        del data[:3]
+    return data
 
 
 def load_edge_list(path_or_file):
@@ -414,7 +415,7 @@ def load_edge_list(path_or_file):
         source = getattr(path_or_file, "name", "<stream>")
     else:
         source = "<stdin>" if path_or_file == "-" else str(path_or_file)
-    return _graph_from_ids(*_code_text(*_read_data(path_or_file, source), source))
+    return _graph_from_ids(*_code_text(_read_data(path_or_file, source), source))
 
 
 def dump_edge_list(g, file):

@@ -135,10 +135,9 @@ def _prefix_search(adj):
     return keys, bound
 
 
-def merge_comparison_count(adj, total, search=None):
+def merge_comparison_count(adj, total, search):
     """The comparisons of :func:`_merge_counts` on ``adj``, without merging;
-    ``total`` is the graph's triangle count, and ``search`` the
-    :func:`_prefix_search` of ``adj`` if one is at hand.
+    ``total`` is the graph's triangle count, ``search`` the :func:`_prefix_search` of ``adj``.
 
     Take entry e = (v, u) with P(u), u's prefix, non-empty, and let t =
     min(last(v), last(u)) for last(x) the largest id in P(x). The merge of
@@ -164,7 +163,7 @@ def merge_comparison_count(adj, total, search=None):
     x = np.where(v_ends, u, v)
     t = np.minimum(lv, lu)
     del v, u, lv, lu, v_ends
-    _, bound = _prefix_search(adj) if search is None else search
+    _, bound = search
     part = bound(x, x * n + t + 1)
     return whole + int(part.sum()) - int(poff[x].sum()) - total
 
