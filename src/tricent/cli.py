@@ -243,7 +243,12 @@ def _cmd_bench(args):
             sys.stderr.write(f"warning: skipping {path}: {exc}\n")
             continue
         for algo in args.algo or ["main"]:
-            _write_record({"graph": path, **_run(g, algo)[1]}, sys.stdout)
+            try:
+                record = _run(g, algo)[1]
+            except InputError as exc:  # a route that refuses the graph, such as mapreduce's limit
+                sys.stderr.write(f"warning: skipping {path} for {algo}: {exc}\n")
+                continue
+            _write_record({"graph": path, **record}, sys.stdout)
     return 0
 
 

@@ -1,14 +1,11 @@
 """Integer labels parsed from the bytes of an edge list, and written back
 as decimal bytes, in numpy.
 
-``code_digits`` takes the padded data and token bounds that
-``graph._token_bounds`` gives and codes them when every token is 1 to 8
-ASCII digits whose values span fewer integers than there are tokens;
-``graph`` sends any other input to its key sort. ``decimal_rows`` writes
-int64 labels as text for the TSV output. Kept apart from
-``graph.py``: compiled from source as part of it, this code raised the peak
-RSS of importing ``tricent`` by 0.17 MB (Python 3.11, x86-64), and so of
-every run, digits or not.
+``parse_digits`` gives the int64 value of every token when each is 1 to 8
+ASCII digits; ``decimal_rows`` writes int64 labels as text for the TSV
+output. Kept apart from ``graph.py``: compiled from source as part of it,
+this code raised the peak RSS of importing ``tricent`` by 0.17 MB (Python
+3.11, x86-64), and so of every run, digits or not.
 """
 
 import numpy as np
@@ -25,29 +22,15 @@ _JOINS = tuple((np.uint64(mask), np.uint64(mul), np.uint64(shift)) for mask, mul
     (0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8),
     (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),
     (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32)))
-# in the word that ends with the last byte of a token of L bytes,
-# _TOKEN_BYTES[L] masks the token's bytes and _ZERO_FILL[L] writes "0" before it.
-# Built from Python ints: a numpy op here would page in 128 KB of numpy's
-# uint64 loops at import, into the peak RSS of runs that never parse digits
-_BEFORE = [(1 << 8 * (8 - length)) - 1 for length in range(9)]
-_TOKEN_BYTES = np.array([~before & (1 << 64) - 1 for before in _BEFORE], dtype=np.uint64)
-_ZERO_FILL = np.array([before & 0x3030303030303030 for before in _BEFORE], dtype=np.uint64)
 
 
-def code_digits(data, starts, length):
-    """``(labels, ids)`` as ``graph._code_text`` gives them, when every token of
-    padded edge-list data is 1 to 8 ASCII digits, with the labels as a
-    sorted int64 array; else None.
-
-    Each token is read as the little-endian 8-byte word that ends with its
-    last byte, the bytes before the token are made "0", and the word is
-    checked and parsed as eight digits at once (SWAR). ``int()`` gives the
-    same value for each such token, leading zeros and all. The values are
-    coded by a presence table, so the path also gives None when their range
-    is not below the token count; the ids are the width of ``starts``.
-    """
-    tokens = starts.shape[0]
-    if not tokens or not 0x30 <= data[starts[0]] <= 0x39 or length.max() > 8:
+def parse_digits(data, starts, length):
+    """The int64 value of each token of padded edge-list data at the
+    non-empty bounds of ``graph._token_bounds``, when every token is 1 to 8
+    ASCII digits (``int()`` gives the same values); else None. Each token is
+    read as the little-endian 8-byte word that ends with its last byte, and
+    checked and parsed as eight digits at once (SWAR)."""
+    if not 0x30 <= data[starts[0]] <= 0x39 or length.max() > 8:
         return None
     at = starts + length
     at -= 8  # the first byte of the word that ends with the token's last byte
@@ -61,30 +44,28 @@ def code_digits(data, starts, length):
     words = little[at].astype(np.uint64, copy=False)
     del at
     words[:early] <<= missing
-    # take() from a small table is about twice as fast as indexing it
-    words &= _TOKEN_BYTES.take(length)
-    words |= _ZERO_FILL.take(length)
+    # keep the token's L bytes, at the top of the word, and make the 8 - L
+    # bytes below them "0", in one work array that the tests reuse
+    work = length.astype(np.uint64)
+    work <<= np.uint64(3)
+    np.subtract(np.uint64(64), work, out=work)  # the bits below the token
+    np.left_shift(~np.uint64(0), work, out=work)
+    words &= work
+    np.invert(work, out=work)
+    work &= _ASCII_ZEROS
+    words |= work
     # every byte is 0x30-0x3f, and stays below 0x40 with 6 added: "0"-"9"
-    if not ((words & _HIGH_NIBBLES) == _ASCII_ZEROS).all():
-        return None
-    if not (((words + _SIXES) & _HIGH_NIBBLES) == _ASCII_ZEROS).all():
-        return None
+    for added in (np.uint64(0), _SIXES):
+        np.add(words, added, out=work)
+        work &= _HIGH_NIBBLES
+        work ^= _ASCII_ZEROS
+        if work.any():
+            return None
     for mask, multiplier, shift in _JOINS:
         words &= mask
         words *= multiplier
         words >>= shift
-    values = words.view(np.int64)  # below 10**8
-    low, high = int(values.min()), int(values.max())
-    if high - low >= tokens:
-        return None
-    values -= low
-    present = np.zeros(high - low + 1, dtype=bool)
-    present[values] = True
-    ids = np.cumsum(present, dtype=starts.dtype)[values]
-    ids -= 1
-    labels = np.flatnonzero(present)
-    labels += low
-    return labels, ids
+    return words.view(np.int64)  # below 10**8
 
 
 def decimal_rows(values):

@@ -8,16 +8,16 @@ internal id order always agree.
 
 An edge list is read as bytes into one bytearray padded with spaces
 (``_read_data``), with newlines translated as text mode does; input that is
-not ASCII is only checked to be UTF-8. Comment lines are blanked in that
-buffer, and it is tokenized and coded in numpy. When every token is 1 to 8
-ASCII digits (``digits.code_digits``), each is parsed from one 8-byte word
-(SWAR) and, when their range is below the token count, the values are
-coded with a presence table; Python creates no object per label. Any other
-token, or values spread wider, send the data to the key sort
-(``_code_tokens``), where Python creates one object per distinct token and
-``int()``-parses those. Integer labels that fit int64 stay one int64 array
-(``Graph.label_array``) from either route to the output. ``build_graph`` codes
-Python labels with a dict; both routes share the CSR step, ``_graph_from_ids``.
+not ASCII is only checked to be UTF-8. Every later rule works on the token
+bounds of ``_token_bounds``: the tokens of a line whose first token starts
+with ``#`` are dropped, and the rest must pair up by line. Tokens of 1 to 8
+ASCII digits are parsed in numpy (``digits.parse_digits``); others go to
+the key sort (``_code_tokens``), and Python decodes and ``int()``-parses
+only the distinct ones. Keys and integer values are coded by one sort
+(``_sort_code``), or by a presence table when the values span fewer
+integers than there are values. Integer labels that fit int64 stay one
+int64 array (``Graph.label_array``) to the output. ``build_graph`` codes
+Python labels with a dict; both share the CSR step, ``_graph_from_ids``.
 
 Ingest keeps its per-token arrays narrow and short-lived: token starts,
 lengths and coded ids are int32 (int64 only for inputs of 2**31 bytes or
@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .digits import code_digits
+from .digits import parse_digits
 from .errors import ConsistencyError, InputError
 
 
@@ -103,10 +103,6 @@ _WIDE_SPACES = tuple(chr(c).encode() for c in (0x85, 0xA0, 0x1680, *range(0x2000
                                                0x2028, 0x2029, 0x202F, 0x205F, 0x3000))
 _WIDE_SUBS = [(re.compile(b"|".join(s for s in _WIDE_SPACES if len(s) == k)), b" " * k)
               for k in (2, 3)]  # a pattern per width, not a Python call per match
-# a line of that whitespace (wide spaces too) but the newline, then "#" (a bytes \s lacks
-# \x1c-\x1f); the lookahead turns most lines away at their first byte
-_COMMENT = re.compile(rb"^(?=[\t\v\f\r\x1c-\x1f #\xc2\xe1-\xe3])(?:[\t\v\f\r\x1c-\x1f ]|"
-                      + b"|".join(_WIDE_SPACES) + rb")*+#.*", re.MULTILINE)
 # tokens longer than this many 8-byte words are coded in Python instead:
 # the key matrix holds that many words for every token
 _MAX_KEY_WORDS = 8
@@ -158,36 +154,28 @@ def _code_labels(ends):
                                dtype=_index_dtype(len(ends)), count=len(ends))
 
 
-def _pairs_by_line(raw, starts, length):
-    """Whether the tokens at ``starts`` (of ``length`` bytes) of the padded
-    bytes ``raw`` pair up by line: no newline in the gap after the first
-    token of a pair, one in the gap after the second (but the last)."""
-    if starts.shape[0] % 2:
-        return False
-    end = starts + length
-    newline = raw[end] == 10  # the gap's first byte, all of a one-byte gap
+def _line_heads(raw, starts, length):
+    """Whether each token at ``starts`` (of ``length`` bytes) of the padded
+    bytes ``raw`` opens a line: the first does, and any after a newline."""
+    head = np.ones(starts.shape[0], dtype=bool)
+    end = starts[:-1] + length[:-1]
+    newline = head[1:]  # a view: the flags after the first are written into head
+    np.equal(raw[end], 10, out=newline)  # the gap's first byte, all of a one-byte gap
     # only wider gaps that open with other whitespace are searched
-    wide = starts[1:] - end[:-1] > 1
-    wide &= ~newline[:-1]
+    wide = starts[1:] - end > 1
+    wide &= ~newline
     wide = np.flatnonzero(wide)
     if wide.shape[0]:
         spans = np.stack((end[wide], starts[wide + 1]), axis=1).ravel()
         newline[wide] = np.logical_or.reduceat(raw == 10, spans)[0::2]
-    return not newline[0::2].any() and newline[1:-1:2].all()
+    return head
 
 
 def _token_bounds(data, source):
-    """Starts and lengths of the tokens of padded edge-list data, checked
-    to pair up by line: InputError naming the first line that does not.
-    Comment lines (first non-blank character ``#``) are blanked in ``data``
-    first, keeping line numbers; wide spaces are spaces in a copy only.
-
-    Both arrays are int32, or int64 when the padded bytes reach 2**31.
-    """
-    if b"#" in data:
-        # written back into ``data``, so that the bytes are held once
-        body = len(data) - len(_PADDING)
-        data[:body] = _COMMENT.sub(b"", memoryview(data)[:body])
+    """Starts and lengths (int32, or int64 when the padded bytes reach
+    2**31) of the tokens of padded edge-list data but those of comment
+    lines, checked to pair up by line: InputError names the first line that
+    does not. Wide spaces are spaces in a copy only."""
     index = _index_dtype(len(data))
     # tokens start and end where the in-token flag flips (from out of token
     # before byte 0), so the flips alternate start, end, start, end, ...
@@ -203,64 +191,99 @@ def _token_bounds(data, source):
     length = bounds[1::2].astype(index)
     del bounds
     length -= starts
-    if not _pairs_by_line(np.frombuffer(data, dtype=np.uint8), starts, length):
+    raw = np.frombuffer(data, dtype=np.uint8)
+    head = _line_heads(raw, starts, length)
+    if b"#" in data:
+        heads = np.flatnonzero(head)
+        comment = raw[starts[heads]] == 35  # by line: its first token opens with "#"
+        if comment.any():
+            keep = np.repeat(~comment, np.diff(heads, append=head.shape[0]))
+            starts, length, head = starts[keep], length[keep], head[keep]
+    # a line of two tokens opens at every even token and at no odd one
+    if head.shape[0] % 2 or not head[0::2].all() or head[1::2].any():
         _raise_bad_line(data, source)
     return starts, length
 
 
-def _code_tokens(data, starts, length):
-    """Sorted distinct tokens of padded edge-list data and each token's
-    index among them, in data order, from the bounds of ``_token_bounds``.
-
-    Every per-token step runs in numpy over the UTF-8 bytes; Python sees
-    only the distinct tokens. A token is keyed by its bytes, read as
-    big-endian 8-byte words with the bytes past its end masked to zero,
-    plus its length when the data holds a NUL (without one, every zero
-    byte of a key is masking). UTF-8 byte order is code point order, so the keys sort
-    tokens as ``sorted()`` sorts strings. Tokens over ``8 * _MAX_KEY_WORDS``
-    bytes are coded in Python.
-
-    The returned ids are the width of ``starts``; the key words are uint64.
-    Each per-token temporary is dropped as soon as it has been used, so that
-    the bytes and a few narrow arrays make the peak.
-    """
-    index = starts.dtype
-    if starts.shape[0] == 0:
-        return [], np.zeros(0, dtype=index)
-    words = -(-int(length.max()) // 8)
-    if words > _MAX_KEY_WORDS:
-        return _code_labels(data.decode("utf-8", "surrogatepass").split())
-    raw = np.frombuffer(data, dtype=np.uint8)
-    big = np.ndarray((raw.shape[0] - 7,), dtype=">u8", buffer=data, strides=(1,))
-    keys = []
-    for k in range(words):
-        key = big[starts + 8 * k].astype(np.uint64)
-        key &= _KEEP[k, length]
-        keys.append(key)
-    if b"\0" in data:
-        keys.append(length)
+def _sort_code(keys, index):
+    """``(at, ids)`` of the list ``keys`` of non-empty arrays, most
+    significant first, popped as used: ``ids[i]`` is the index of key i
+    among the distinct keys in sorted order, ``at`` a position of each
+    distinct key in that order; both of dtype ``index``."""
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
     order = order.astype(index, copy=False)  # held through every gather below
-    first = np.zeros(order.shape[0], dtype=bool)  # first of a distinct token, sorted
+    first = np.zeros(order.shape[0], dtype=bool)  # first of a distinct key, sorted
     first[0] = True
     while keys:
         key = keys.pop()[order]
         first[1:] |= key[1:] != key[:-1]
     del key
+    rank = first.astype(index)
+    np.cumsum(rank, out=rank)  # in place: cumsum(first, dtype=) also makes a cast copy
+    rank -= 1
     ids = np.empty(order.shape[0], dtype=index)
-    ids[order] = np.cumsum(first, dtype=index)
+    ids[order] = rank
+    return order[first], ids
+
+
+def _code_values(values):
+    """Sorted distinct labels of the int64 array ``values``, which it
+    overwrites, and each value's index among them."""
+    index = _index_dtype(values.shape[0])
+    low, high = int(values.min()), int(values.max())
+    if high - low >= values.shape[0]:
+        at, ids = _sort_code([values], index)
+        return values[at], ids
+    values -= low
+    present = np.zeros(high - low + 1, dtype=bool)
+    present[values] = True
+    ids = np.cumsum(present, dtype=index)[values]
     ids -= 1
-    at = order[first]
-    del order, first
-    # the distinct tokens, each with the byte after it, in one decode: the
-    # byte index climbs by one inside a token and jumps to the next start
-    ends = np.cumsum(length[at] + 1)
-    step = np.ones(ends[-1], dtype=np.int64)
-    step[0] = starts[at[0]]
-    step[ends[:-1]] = starts[at[1:]] - starts[at[:-1]] - length[at[:-1]]
-    chars = raw[np.cumsum(step)]
-    chars[ends - 1] = 32  # a space: the byte after a token may open a wide space
-    return chars.tobytes().decode("utf-8", "surrogatepass").split(), ids
+    return np.flatnonzero(present) + low, ids
+
+
+def _token_strings(data, starts, length):
+    """The tokens of padded edge-list data at ``starts`` (of ``length``
+    bytes) as a list of str, gathered 4,096 at a time with a space in place
+    of the byte after each (which may open a wide space)."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    strings = []
+    for first in range(0, starts.shape[0], 4096):  # bounds the gather's indices
+        block = slice(first, first + 4096)
+        size = length[block] + 1
+        ends = np.cumsum(size, dtype=starts.dtype)
+        at = np.repeat(starts[block] - (ends - size), size)
+        at += np.arange(ends[-1], dtype=starts.dtype)
+        chars = raw.take(at)  # faster than raw[at] with int32 indices
+        chars[ends - 1] = 32
+        strings += chars.tobytes().decode("utf-8", "surrogatepass").split(" ")[:-1]
+    return strings
+
+
+def _code_tokens(data, starts, length):
+    """Sorted distinct tokens of padded edge-list data and each token's
+    index among them, in data order, from the (non-empty) bounds of
+    ``_token_bounds``.
+
+    Python sees only the distinct tokens. A token is keyed by its bytes,
+    read as big-endian 8-byte words with the bytes past its end masked to
+    zero, plus its length when the data holds a NUL (without one, every
+    zero byte of a key is masking). UTF-8 byte order is code point order, so
+    the keys sort tokens as ``sorted()`` sorts strings; over ``8 *
+    _MAX_KEY_WORDS`` bytes, all tokens are decoded and coded in Python. The
+    ids are the width of ``starts``; each temporary is dropped once used."""
+    words = -(-int(length.max()) // 8)
+    if words > _MAX_KEY_WORDS:
+        return _code_labels(_token_strings(data, starts, length))
+    big = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+    keys = []
+    for k in range(words):
+        keys.append(big[starts + 8 * k].astype(np.uint64))
+        keys[-1] &= _KEEP[k, length]
+    if b"\0" in data:
+        keys.append(length)
+    at, ids = _sort_code(keys, starts.dtype)
+    return _token_strings(data, starts[at], length[at]), ids
 
 
 def _code_text(data, source):
@@ -273,26 +296,22 @@ def _code_text(data, source):
     int64 array when they fit it, and strings otherwise.
     """
     starts, length = _token_bounds(data, source)
-    coded = code_digits(data, starts, length)
-    if coded is not None:
-        return coded
+    if not starts.shape[0]:
+        return np.zeros(0, dtype=np.int64), starts
+    values = parse_digits(data, starts, length)
+    if values is not None:
+        return _code_values(values)
     distinct, ids = _code_tokens(data, starts, length)
     del starts, length
     try:
-        try:
-            values = np.fromiter(map(int, distinct), dtype=np.int64, count=len(distinct))
-            # a sort and a search, not np.unique's int64 argsort, which raised
-            # the peak RSS of tc compute on 20k int labels by 1.5 MB
-            labels = np.sort(values)
-            keep = np.ones(labels.shape[0], dtype=bool)
-            np.not_equal(labels[1:], labels[:-1], out=keep[1:])
-            labels = labels[keep]
-            remap = np.searchsorted(labels, values)
-        except OverflowError:  # a value past int64
-            labels, remap = _code_labels(list(map(int, distinct)))
+        values = list(map(int, distinct))
     except ValueError:  # a token that int() rejects: string labels
         return tuple(distinct), ids
-    return labels, remap.astype(ids.dtype, copy=False)[ids]
+    try:
+        labels, remap = _code_values(np.array(values, dtype=np.int64))
+    except OverflowError:  # a value past int64
+        labels, remap = _code_labels(values)
+    return labels, remap[ids]
 
 
 def _graph_from_ids(labels, ids):

@@ -347,6 +347,24 @@ def test_bench_runs_every_route(capsys, karate_file, algo):
     assert untimed(record) == untimed(stats_record(capsys, karate_file, algo))
 
 
+def test_bench_goes_on_after_a_route_refuses_a_graph(capsys, monkeypatch, tmp_path,
+                                                      karate_file):
+    # m + 7 * prefix pairs is 1,566 on dolphins and 561 on karate
+    monkeypatch.setattr("tricent.mapreduce.RECORD_LIMIT", 1_000)
+    dolphins = tmp_path / "dolphins.txt"
+    with open(dolphins, "w") as fh:
+        dump_edge_list(load_fixture("dolphins"), fh)
+    code, out, err = run(capsys, "bench", str(dolphins), karate_file,
+                         "--algo", "mapreduce", "--algo", "main")
+    assert code == 0
+    assert err.startswith(f"warning: skipping {dolphins} for mapreduce: mapreduce limited")
+    assert err.count("\n") == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["graph"], r["algo"], r["triangles"]) for r in records] == [
+        (str(dolphins), "main", 95), (karate_file, "mapreduce", 45),
+        (karate_file, "main", 45)]
+
+
 def test_bench_skips_malformed_file(capsys, tmp_path, karate_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n3\n")

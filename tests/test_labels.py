@@ -77,6 +77,7 @@ def big_text():
 # each source of labels: (text, held as an int64 array, coded by the digits path)
 SOURCES = {
     "digits": ("1 2\n2 3\n3 1\n3 4\n4 5\n5 3\n10 4\n", True, True),
+    "sparse digits": ("7 99999999\n99999999 50000000\n50000000 7\n0 7\n", True, True),
     "key sort": (integer_text(), True, False),
     "int64 ends": (f"{INT64_MIN} {INT64_MAX}\n{INT64_MAX} 0\n0 {INT64_MIN}\n-1 0\n", True,
                    False),
