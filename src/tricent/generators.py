@@ -156,7 +156,8 @@ def load_fixture(name):
     """Load one of the bundled small networks by name."""
     if name not in FIXTURES:
         raise InputError(f"unknown fixture {name!r}; have {FIXTURES}")
-    with resources.files("tricent.fixtures").joinpath(f"{name}.txt").open(encoding="utf-8") as fh:
+    # fixtures/ has no __init__.py: as a namespace package, zipimport cannot import it
+    with (resources.files("tricent") / "fixtures" / f"{name}.txt").open(encoding="utf-8") as fh:
         return load_edge_list(fh)
 
 

@@ -4,15 +4,15 @@ The route is the main route's run of ``triangle_pipeline`` with a detect
 step that also tallies work: the production kernel (``count_triangles`` of
 :mod:`tricent.triangle`) finds the triangles and, given the tally, computes
 the merge comparisons that the merge kernel would make exactly from the
-prefix ends and the same prefix search (``merge_comparison_count``, tested
-equal to the count of ``triangle_neighbor``) without running the merge. The
-score fold of :mod:`tricent.centrality` finishes the job. The route runs in
-one thread and takes no worker count: a thread pool over the wedge kernel's
-blocks gained nothing on Holme-Kim graphs. All counting is exact, so results
-are bitwise identical to the sequential path. The tally stands in for
-abstract processor-count claims; ``tc compute --stats`` writes it as the
-``work`` of its run record, next to the phases and shape that every ordered
-route reports.
+prefix ends and a prefix search of its own (``merge_comparison_count``,
+tested equal to the count of ``triangle_neighbor``) without running the
+merge. The score fold of :mod:`tricent.centrality` finishes the job. The
+route runs in one thread and takes no worker count: a thread pool over the
+wedge kernel's blocks gained nothing on Holme-Kim graphs. All counting is
+exact, so results are bitwise identical to the sequential path. The tally
+stands in for abstract processor-count claims; ``tc compute --stats`` writes
+it as the ``work`` of its run record, next to the phases and shape that
+every ordered route reports.
 """
 
 from dataclasses import dataclass

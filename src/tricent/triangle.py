@@ -21,11 +21,11 @@ unfiltered, against a hash table of the edges built in numpy; both run one
 blocked pair loop (`_pair_counts` over `_prefix_pairs`), so their memory
 stays O(m). The pure-Python merge intersection `triangle_neighbor` (over
 `_merge_counts`) counts its comparisons as it runs; the PRAM route takes that
-count in closed form from the prefix ends and the same bisection
-(`merge_comparison_count`). The
-set-intersection variant `hash_intersection_tri_neighbors` looks the prefixes
-up in dicts instead of merging them. All four agree with the oracle on
-per-vertex counts, the global count, and the triangle-neighbor relation.
+count in closed form from the prefix ends and a bisection of its own
+(`merge_comparison_count`). The set-intersection variant
+`hash_intersection_tri_neighbors` looks the prefixes up in dicts instead of
+merging them. All four agree with the oracle on per-vertex counts, the
+global count, and the triangle-neighbor relation.
 """
 
 from dataclasses import dataclass
@@ -54,8 +54,8 @@ class TriangleStats:
 @dataclass
 class MergeTally:
     """Merge-kernel work: filled by :func:`triangle_neighbor` when passed
-    in, and by :func:`count_triangles` (the PRAM route's detect) from
-    :func:`merge_comparison_count` without running the merge."""
+    in, and by :func:`count_triangles` (the PRAM route's detect) without
+    running the merge (:func:`merge_comparison_count`)."""
 
     merge_comparisons: int = 0
     triangles: int = 0
@@ -135,9 +135,9 @@ def _prefix_search(adj):
     return keys, bound
 
 
-def merge_comparison_count(adj, total, search):
+def merge_comparison_count(adj, total):
     """The comparisons of :func:`_merge_counts` on ``adj``, without merging;
-    ``total`` is the graph's triangle count, ``search`` the :func:`_prefix_search` of ``adj``.
+    ``total`` is the graph's triangle count.
 
     Take entry e = (v, u) with P(u), u's prefix, non-empty, and let t =
     min(last(v), last(u)) for last(x) the largest id in P(x). The merge of
@@ -163,7 +163,7 @@ def merge_comparison_count(adj, total, search):
     x = np.where(v_ends, u, v)
     t = np.minimum(lv, lu)
     del v, u, lv, lu, v_ends
-    _, bound = search
+    _, bound = _prefix_search(adj)
     part = bound(x, x * n + t + 1)
     return whole + int(part.sum()) - int(poff[x].sum()) - total
 
@@ -266,14 +266,14 @@ def _wedge_filter(sig, shift, first, second):
     return np.flatnonzero(((sig[first] >> shift[second]) | (sig[second] >> shift[first])) & 1)
 
 
-def wedge_counts(adj, search=None):
+def wedge_counts(adj):
     """Per-entry triangle counts by checking the wedges inside each prefix.
 
     A wedge's closing edge {a, b} is held by the lower-ordered of a and b,
     say x, as an entry of P(x), so its packed key (x * n + other) is looked
-    up by a bisection inside P(x) alone (:func:`_prefix_search`, built here
-    unless ``search`` gives it), at most ⌈log₂(L + 1)⌉ gathers for L the
-    longest prefix. The pair loop is :func:`_pair_counts`.
+    up by a bisection inside P(x) alone (:func:`_prefix_search`), at most
+    ⌈log₂(L + 1)⌉ gathers for L the longest prefix. The pair loop is
+    :func:`_pair_counts`.
 
     Before the search, a one-word Bloom filter of each prefix
     (:func:`_signatures`, :func:`_wedge_filter`) drops most open wedges with a
@@ -286,7 +286,7 @@ def wedge_counts(adj, search=None):
     kernel (2-core x86-64) took 8.9 ms, against 11.9 ms without the filter.
     """
     n, rank, higher, plen = adj.n, adj.rank, adj.higher, adj.prefix_len
-    keys, bound = _prefix_search(adj) if search is None else search
+    keys, bound = _prefix_search(adj)
     filtering = int(plen @ (plen - 1)) // 2 >= _FILTER_MIN_PAIRS
     sig, shift = _signatures(adj) if filtering else (None, None)
 
@@ -413,14 +413,11 @@ def count_triangles(adj, tally=None):
     """The production kernel: per-vertex and global counts and the marks from
     the per-entry counts of :func:`wedge_counts`. The stats carry no per-edge
     counts. A ``tally`` passed in gets the triangles and the comparisons that
-    :func:`triangle_neighbor` would count, from :func:`merge_comparison_count`
-    over the same prefix search."""
-    if tally is None:  # the search is dropped before the stats are made
-        return _stats_and_marks(adj, wedge_counts(adj))
-    search = _prefix_search(adj)
-    stats, marks = _stats_and_marks(adj, wedge_counts(adj, search))
-    tally.merge_comparisons += merge_comparison_count(adj, stats.total, search)
-    tally.triangles += stats.total
+    :func:`triangle_neighbor` would count (:func:`merge_comparison_count`)."""
+    stats, marks = _stats_and_marks(adj, wedge_counts(adj))
+    if tally is not None:
+        tally.merge_comparisons += merge_comparison_count(adj, stats.total)
+        tally.triangles += stats.total
     return stats, marks
 
 

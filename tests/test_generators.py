@@ -1,7 +1,13 @@
 import inspect
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 
+import tricent
 from tricent.errors import InputError
 from tricent.generators import (_EDGE_COUNTS, FIXTURES, GEN_FAMILIES, MAX_GEN_EDGES,
                                 book_with_satellite, bridged_cliques,
@@ -77,6 +83,23 @@ def test_showcase_shapes(build, n, m, tri):
 def test_fixture_transcription_triples(name, n, m, tri):
     """Loud guard on the bundled-network transcriptions."""
     assert totals(load_fixture(name)) == (n, m, tri)
+
+
+def test_fixtures_load_from_a_zipped_package(tmp_path):
+    # a package imported from a zip (zipimport) still reads its bundled networks
+    src = Path(tricent.__file__).parent
+    archive = tmp_path / "tricent.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in [*src.glob("*.py"), *src.glob("fixtures/*.txt")]:
+            zf.write(path, path.relative_to(src.parent).as_posix())
+    code = ("from tricent.generators import load_fixture\n"
+            "g = load_fixture('karate')\n"
+            "print(g.n, g.m)\n")
+    env = {**os.environ, "PYTHONPATH": str(archive)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["34", "78"]
 
 
 def test_fixture_loader_rejects_unknown():

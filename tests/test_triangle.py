@@ -12,9 +12,9 @@ from tricent.generators import (book_with_satellite, clique, clique_chain, cliqu
                                 load_fixture)
 from tricent.graph import build_abbreviated_adjacency, build_graph, degree_order, row_lists
 from tricent.triangle import (BRUTE_FORCE_LIMIT, MergeTally, _hash_buckets, _hash_counts,
-                              _hash_find, _hash_table, _merge_counts,
-                              _prefix_pairs, _prefix_search, brute_force_triangles,
-                              count_triangles, edge_count_arrays, hash_intersection_tri_neighbors,
+                              _hash_find, _hash_table, _merge_counts, _prefix_pairs,
+                              brute_force_triangles, count_triangles, edge_count_arrays,
+                              hash_intersection_tri_neighbors,
                               hash_neighbor_pair_tri_neighbors, marked_pairs,
                               merge_comparison_count, triangle_neighbor, wedge_counts)
 
@@ -130,10 +130,10 @@ def test_merge_comparison_count_equals_the_merge(random_suite_500):
         adj = ordered(g)
         tally = MergeTally()
         triangle_neighbor(adj, tally)
-        comparisons = merge_comparison_count(adj, tally.triangles, _prefix_search(adj))
+        comparisons = merge_comparison_count(adj, tally.triangles)
         assert comparisons == tally.merge_comparisons
     adj = ordered(star(30))
-    assert merge_comparison_count(adj, 0, _prefix_search(adj)) == 0
+    assert merge_comparison_count(adj, 0) == 0
 
 
 def test_per_edge_counts_align_with_marks(small_random_suite):
@@ -243,7 +243,7 @@ def test_wedge_counts_at_the_bisection_edges():
         assert wedge_counts(adj).tolist() == _hash_counts(adj).tolist() == merge_counts(adj)
         tally = MergeTally()
         triangle_neighbor(adj, tally)
-        comparisons = merge_comparison_count(adj, tally.triangles, _prefix_search(adj))
+        comparisons = merge_comparison_count(adj, tally.triangles)
         assert comparisons == tally.merge_comparisons
     # the pair (1, 2) of P(0) searches P(1), which is empty
     adj = ordered(graphs[-1])
